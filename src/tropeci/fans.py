@@ -105,12 +105,15 @@ class WeightedFan:
 
 
 def _int_coords(basis, v):
+    """Integer coordinates of v in the basis; ValueError if there are none."""
     coords = coordinates_in_basis(basis, v)
+    if coords is None:
+        raise ValueError("vector lies outside the span of the basis")
     out = []
     for c in coords:
         if isinstance(c, Fraction):
             if c.denominator != 1:
-                raise AssertionError("expected integral coordinates")
+                raise ValueError("vector has non-integral coordinates in the basis")
             c = c.numerator
         out.append(int(c))
     return tuple(out)

@@ -1,16 +1,25 @@
 """Exact integer/rational linear algebra used by every geometric kernel.
 
-Everything here works on tuples of ``int`` or ``fractions.Fraction``; no
-floats, ever.  Matrices are sequences of row tuples.  The workhorse is
-:func:`smith_with_basis`, which diagonalizes an integer matrix by unimodular
-operations while tracking the inverse column transform — that single routine
-yields saturations, lattice complements and sublattice indices.
+No floats, ever.  Matrices are sequences of row tuples whose entries are
+``int`` or ``fractions.Fraction``; any other number is read exactly through
+``Fraction``.  All elimination runs on integers: rational rows are first scaled
+to integer rows with the same row space (:func:`_int_rows`), never truncated.
+
+:func:`det`, :func:`solve` (and so :func:`coordinates_in_basis`) and
+:func:`inverse_rows` share one fraction-free Gauss–Jordan core,
+:func:`_gauss_jordan` (Bareiss's integer-preserving elimination); they build a
+``Fraction`` at most once per output entry.  Rank, span membership and the
+canonical reduced bases go through the primitive-row reduction
+:func:`_reduce_row`.  :func:`smith_with_basis` diagonalizes an integer matrix
+by unimodular operations while tracking the inverse column transform; that
+single routine yields saturations, lattice complements and sublattice
+indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Sequence
 
 Vec = tuple
@@ -83,19 +92,25 @@ def sign_normalized(v) -> Vec:
 # ---------------------------------------------------------------------------
 # rank / determinant / solving (exact)
 
-def _int_rows(rows: Mat) -> list:
-    """Rescale each row by its denominator lcm: integer rows, same row space."""
-    out = []
+def _int_rows(rows: Mat) -> tuple[list, list]:
+    """Scale each row by its denominator lcm: integer rows, same row space.
+
+    Returns the integer rows and the scale of each row.  An entry that is not
+    an int is read exactly through ``Fraction``, never truncated.
+    """
+    out, scales = [], []
     for r in rows:
         den = 1
         for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
+            if not isinstance(x, int):
+                den = lcm(den, Fraction(x).denominator)
         if den == 1:
             out.append([int(x) for x in r])
         else:
-            out.append([int(x * den) for x in r])
-    return out
+            out.append([x * den if isinstance(x, int) else int(Fraction(x) * den)
+                        for x in r])
+        scales.append(den)
+    return out, scales
 
 
 def _reduce_row(row: list, red: list) -> int | None:
@@ -129,7 +144,7 @@ def _reduce_row(row: list, red: list) -> int | None:
 def _int_echelon(rows: Mat) -> list:
     """Reduced row echelon data: sorted ``(pivot_col, primitive row)`` pairs."""
     red = []
-    for r in _int_rows(rows):
+    for r in _int_rows(rows)[0]:
         piv = _reduce_row(r, red)
         if piv is not None:
             red.append((piv, r))
@@ -159,121 +174,152 @@ def _int_echelon(rows: Mat) -> list:
 def rank(rows: Mat) -> int:
     """Rank over ℚ by fraction-free elimination."""
     red = []
-    for r in _int_rows(rows):
+    for r in _int_rows(rows)[0]:
         piv = _reduce_row(r, red)
         if piv is not None:
             red.append((piv, r))
     return len(red)
 
 
+def _gauss_jordan(m: list, ncols: int) -> tuple[list, int, int]:
+    """Fraction-free Gauss–Jordan elimination of integer rows, in place.
+
+    Bareiss's integer-preserving elimination (Bareiss 1968, *Sylvester's
+    identity and multistep integer-preserving Gaussian elimination*), carried
+    through every row.  At each pivot ``p``, every other row, earlier pivot
+    rows included, becomes ``(p·row − x·pivot_row) // prev``, where ``x`` is
+    its entry in the pivot column and ``prev`` the previous pivot (1 at the
+    start); a row with ``x == 0`` becomes ``p·row // prev``.  Each division is
+    exact by Sylvester's identity, so the entries stay integers no larger than
+    the minors of the input.
+
+    Pivots are searched in the first ``ncols`` columns only, taking the first
+    nonzero entry at or below the current row; a column without one is
+    skipped.  Later columns (a right-hand side, an identity block) are carried
+    along.  Returns ``(pivots, d, sign)``: the pivot column of each leading
+    row, the last pivot ``d`` (1 if there is none) and the sign of the row
+    permutation.  On return every pivot entry equals ``d``, the pivot columns
+    are zero elsewhere, and the rows past ``len(pivots)`` are zero in the
+    first ``ncols`` columns.
+    """
+    nrows = len(m)
+    pivots = []
+    prev, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for k in range(r, nrows):
+            if m[k][c]:
+                break
+        else:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        pr = m[r]
+        p = pr[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = m[i]
+            x = row[c]
+            if x:
+                m[i] = [(p * a - x * b) // prev for a, b in zip(row, pr)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
+
+
 def det(rows: Mat):
-    """Determinant of a square matrix; Bareiss on ints, Gaussian on Fractions."""
+    """Determinant of a square matrix, exactly.
+
+    The rows are scaled to integers and reduced by the fraction-free core;
+    its last pivot, signed by the row swaps, is the determinant of the scaled
+    matrix, which is then divided by the product of the row scales.  Returns
+    an int for int input and a Fraction otherwise.
+    """
     n = len(rows)
     if n == 0:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("det of a non-square matrix")
+    m, scales = _int_rows(rows)
+    pivots, d, sign = _gauss_jordan(m, n)
+    num = sign * d if len(pivots) == n else 0
     if all(isinstance(x, int) for r in rows for x in r):
-        a = [list(r) for r in rows]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-    m = [list(map(Fraction, r)) for r in rows]
-    out = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            out = -out
-        out *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return out
+        return num
+    return Fraction(num, prod(scales))
 
 
 def solve(rows: Mat, rhs) -> tuple | None:
     """One exact solution of rows·x = rhs over ℚ, or None if inconsistent.
 
-    Free variables are set to 0.
+    Each equation, right-hand side included, is scaled to integers and the
+    system is reduced by the fraction-free core, pivoting on the first nonzero
+    entry of each column at or below the current row.  Free variables are set
+    to 0, so each pivot variable is its row's right-hand side over the last
+    pivot: the entries are Fractions built once, at the end.  Raises
+    ValueError on ragged rows or a right-hand side of the wrong length.
     """
+    rhs = tuple(rhs)
+    if len(rhs) != len(rows):
+        raise ValueError(
+            f"right-hand side has {len(rhs)} entries for {len(rows)} equations")
     if not rows:
         return ()
     ncols = len(rows[0])
-    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("rows of different lengths")
+    m, _ = _int_rows([[*r, b] for r, b in zip(rows, rhs)])
+    pivots, d, _ = _gauss_jordan(m, ncols)
+    for row in m[len(pivots):]:
+        if row[ncols]:
             return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[ncols], d)
     return tuple(x)
 
 
 def inverse_rows(rows: Mat):
     """Exact inverse of a square matrix as ``(M, d)`` with inverse = M/d.
 
-    M has integer entries and d is a positive integer.  Raises ValueError on a
-    singular matrix.
+    M has integer entries and d is a positive integer, the lcm of the
+    denominators of the inverse.  The rows are scaled to integers and reduced
+    beside an identity block by the fraction-free core, which leaves the
+    adjugate of the scaled matrix (up to sign) over its last pivot; column i
+    is multiplied back by the scale of row i, and the common factor with the
+    pivot is divided out.  Raises ValueError on a non-square or singular
+    matrix.
     """
     n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [a * inv for a in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    den = 1
-    for r in m:
-        for x in r[n:]:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return [tuple(int(x * den) for x in r[n:]) for r in m], den
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse of a non-square matrix")
+    m, scales = _int_rows(rows)
+    for i, row in enumerate(m):
+        row += [0] * n
+        row[n + i] = 1
+    pivots, d, _ = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    adj = [[x * s for x, s in zip(row[n:], scales)] for row in m]
+    g = gcd(d, *(x for row in adj for x in row))
+    if d < 0:
+        g = -g
+    return [tuple(x // g for x in row) for row in adj], d // g
 
 
 def in_span(rows: Mat, v) -> bool:
     """Is v in the ℚ-span of the rows?"""
     base = []
-    for r in _int_rows(rows):
+    for r in _int_rows(rows)[0]:
         piv = _reduce_row(r, base)
         if piv is not None:
             base.append((piv, r))
-    probe = _int_rows([tuple(v)])[0]
+    probe = _int_rows([tuple(v)])[0][0]
     return _reduce_row(probe, base) is None
 
 

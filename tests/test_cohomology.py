@@ -164,12 +164,15 @@ def test_three_polygon_pairing_table():
     table = [[intersection_number([CycleWitness(base, [a]),
                                    CycleWitness(base, [b])])
               for b in gens] for a in gens]
+    # mixed_volume_ie of each pair of the three polygons
     assert table == [[1, 2, 4], [2, 2, 5], [4, 5, 8]]
+    # Descartes' rule on its characteristic polynomial x³ − 11x² − 19x − 7
     assert gram_signature(base, gens) == (1, 2, 0)
 
 
 def test_homothetic_generators_give_a_degenerate_table():
     gens = [pl_from_polytope(HEXAGON), pl_from_polytope(HEXAGON.dilate(2))]
+    # mixed_volume_ie Gram [[6, 12], [12, 24]]: rank 1 with positive trace
     assert gram_signature(unit_fan(2), gens) == (1, 0, 1)
 
 
@@ -193,6 +196,7 @@ def test_gram_needs_a_two_dimensional_fan():
 def test_quadratic_pairing_inequality_on_polygons():
     report = af_check(unit_fan(2),
                       pl_from_polytope(SQUARE), pl_from_polytope(PENTAGON))
+    # mixed_volume_ie of (square, square), (square, pentagon), (pentagon, pentagon)
     assert (report.first_square, report.mixed, report.second_square) == (2, 5, 8)
     assert report.holds
 
@@ -235,6 +239,7 @@ def test_two_plane_pairings_split_by_coordinate_blocks():
         return intersection_number([CycleWitness(f, [a]),
                                     CycleWitness(f, [b])])
 
+    # mixed_volume_ie of the squares taken 1:3 and 3:1, 0 + 0
     assert pair(m, n) == 0
     assert pair(m, m) == 4
     assert pair(n, n) == 4
@@ -246,6 +251,7 @@ def test_two_plane_fan_fails_the_quadratic_inequality():
     f = two_plane_fan()
     report = af_check(f, pl_from_polytope(SQUARE_12),
                       pl_from_polytope(SQUARE_34))
+    # the pairings above, each matched by mixed_volume_ie in R^4
     assert (report.first_square, report.mixed, report.second_square) == (4, 0, 4)
     assert not report.holds
     assert report.first_square * report.second_square == 16
@@ -395,13 +401,16 @@ LINE_FAMILIES = {
     # and one line through the center
     3: ([X_AXIS, Y_AXIS, ((0, 0, 0), (1, 1, 0))],
         [((0, 1, 0), (1, 1, 0)), Z_AXIS]),
-    # two plane-point pencils with crossed centers on the common axis
+    # two plane-point pencils with crossed centers on the common axis; each
+    # l-r pair meets and each family is skew, by the 4×4 determinant of the
+    # homogenized points (zero exactly when two lines meet)
     4: ([Y_AXIS, ((1, 0, 0), (1, 0, 1))],
         [((1, 0, 0), (1, 1, 0)), Z_AXIS]),
     # one family is a single line (here presented twice)
     5: ([X_AXIS, ((0, 0, 0), (2, 0, 0))],
         [Z_AXIS, ((1, 0, 0), (1, 1, 0)), ((2, 0, 0), (2, 1, 1))]),
-    # two skew lines and three of their common transversals
+    # two skew lines and three pairwise-skew common transversals, checked by
+    # the same determinant
     6: ([X_AXIS, ((0, 0, 1), (0, 1, 1))],
         [((1, 0, 0), (0, 1, 1)), ((2, 0, 0), (0, 3, 1)),
          ((-1, 0, 0), (0, -1, 1))]),

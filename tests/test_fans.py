@@ -16,6 +16,7 @@ from tropeci.fans import (
     support_connected_off_origin,
     wall_lift,
 )
+from tropeci.fans import _int_coords
 from tropeci.oracles import mixed_volume_ie, polygon_curve_rays, random_lattice_polytope
 from tropeci.polytopes import LatticePolytope
 
@@ -42,6 +43,19 @@ def test_wall_lift_orientation_flips():
     tau = Cone(2, rays=[(1, 0), (1, -2)])
     rho = Cone(2, rays=[(1, 0)])
     assert wall_lift(rho, tau)[1] == -1
+
+
+def test_wall_lift_rejects_a_wall_outside_the_cone_span():
+    tau = Cone(3, rays=[(1, 0, 0), (0, 1, 0)])
+    rho = Cone(3, rays=[(0, 0, 1)])
+    with pytest.raises(ValueError):
+        wall_lift(rho, tau)
+
+
+def test_span_coordinates_must_be_integral():
+    assert _int_coords([(2, 0), (0, 1)], (4, 3)) == (2, 3)
+    with pytest.raises(ValueError):
+        _int_coords([(2, 0)], (1, 0))
 
 
 def test_tropical_line_is_balanced():
