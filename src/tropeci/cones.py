@@ -247,10 +247,6 @@ class Cone:
         return Cone(self.ambient, ineqs=list(self.ineqs) + list(other.ineqs),
                     eqs=list(self.eqs) + list(other.eqs))
 
-    def is_face_point(self, x) -> bool:
-        """Containment test usable with rational coordinates."""
-        return self.contains(x)
-
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={self.rays}, lin={len(self.lineality)})"
 
@@ -291,6 +287,35 @@ def may_meet_full_dim(sigma: Cone, cell: Cone) -> bool:
         if neg and not pos:
             return False
     return True
+
+
+def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
+    """Cut tagged cones by one cell list after another.
+
+    ``seed`` holds (cone, tag) pairs and each cell list (cone, covector)
+    pairs.  Every cut intersects each current piece with each cell in turn,
+    keeps the intersections of dimension at least ``dim`` and drops repeats
+    of a face key already seen in that cut.  Returns (piece, tag, covectors)
+    triples, one covector per cell list, in the order the cuts produce them.
+    The seed itself is neither cut nor deduplicated.
+    """
+    pieces = [(cone, tag, []) for cone, tag in seed]
+    for cells in cell_lists:
+        nxt, seen = [], set()
+        for cone, tag, ls in pieces:
+            for cell, l in cells:
+                if not may_meet_full_dim(cone, cell):
+                    continue
+                piece = cone.intersect(cell)
+                if piece.dim < dim:
+                    continue
+                k = piece.key()
+                if k in seen:
+                    continue
+                seen.add(k)
+                nxt.append((piece, tag, ls + [l]))
+        pieces = nxt
+    return pieces
 
 
 def full_space(ambient: int) -> Cone:

@@ -22,7 +22,7 @@ agreement is checked modulo a global translation.
 from math import gcd
 from typing import Sequence
 
-from .cones import Cone, full_space, may_meet_full_dim
+from .cones import Cone, common_refinement, full_space
 from .fans import WeightedFan, pushforward
 from .linalg import solve
 from .mci import MCI, TCI, tci_from_mci
@@ -91,27 +91,6 @@ def _unit_fan(dim: int) -> WeightedFan:
     return WeightedFan(dim, [(full_space(dim), 1)])
 
 
-def _refine(amb: int, seed: Cone, factors: Sequence[PLFunction]) -> list:
-    """Full-dimensional pieces of seed cut by all factors, with covector lists."""
-    pieces = [(seed, [])]
-    for f in factors:
-        nxt, seen = [], set()
-        for cone, ls in pieces:
-            for cell, l in f.cells:
-                if not may_meet_full_dim(cone, cell):
-                    continue
-                inter = cone.intersect(cell)
-                if inter.dim < amb:
-                    continue
-                k = inter.key()
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append((inter, ls + [l]))
-        pieces = nxt
-    return pieces
-
-
 def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
     """Gated product difference ∏ mᵢ(x, t) − ∏ mᵢ(x, 0) on t ≥ 0, zero on t ≤ 0.
 
@@ -136,7 +115,8 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
 
     e_t = (0,) * (amb - 1) + (1,)
     cells = []
-    for cone, ls in _refine(amb, Cone(amb, ineqs=[e_t]), list(ms) + zeros):
+    upper = [(Cone(amb, ineqs=[e_t]), None)]
+    for cone, _, ls in common_refinement(upper, [m.cells for m in [*ms, *zeros]], amb):
         p = Poly.const(amb, 1)
         for l in ls[:amb]:
             p = p * Poly.linear(l)
@@ -145,7 +125,8 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
             q = q * Poly.linear(l)
         cells.append((cone, p - q))
     neg = tuple(-x for x in e_t)
-    for cone, _ in _refine(amb, Cone(amb, ineqs=[neg]), list(ms)):
+    lower = [(Cone(amb, ineqs=[neg]), None)]
+    for cone, _, _ in common_refinement(lower, [m.cells for m in ms], amb):
         cells.append((cone, Poly(amb, {})))
     return PPFunction(amb, amb, cells)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .cones import Chamber, Cone, NotAFan, chamber_complex
+from .cones import Cone, NotAFan, chamber_complex, origin_cone
 from .linalg import (
     canonical_span_rows,
     coordinates_in_basis,
@@ -43,6 +43,10 @@ class NotSurjective(ValueError):
 
 class NotComplementary(ValueError):
     pass
+
+
+class NotGeneric(RuntimeError):
+    """No sampled displacement put two fans in general position."""
 
 
 class WeightedFan:
@@ -96,9 +100,6 @@ class WeightedFan:
     def weight_of_point(self, x) -> int:
         """Sum of weights of cones containing x (meaningful away from walls)."""
         return sum(w for c, w in self.cones if c.contains(x))
-
-    def contains_point(self, x) -> bool:
-        return any(c.contains(x) for c, w in self.cones)
 
     def __repr__(self):
         return f"WeightedFan(dim={self.dim}, ncones={len(self.cones)})"
@@ -175,17 +176,27 @@ def is_balanced(fan: WeightedFan, check_fan: bool = True) -> bool:
         check_fan_structure(fan)
     if fan.dim <= 0:
         return True
-    groups = {}
-    for cone, w in fan.cones:
-        for f in cone.facets():
-            groups.setdefault(f.key(), (f, []))[1].append((cone, w))
-    for key, (wall, incident) in groups.items():
+    for wall, incident in group_walls(fan.cones).values():
         total = (0,) * fan.ambient
         for cone, w in incident:
             total = vadd(total, vscale(w, wall_lift(wall, cone)))
         if not in_span(wall.span_rows(), total):
             return False
     return True
+
+
+def group_walls(items: Iterable) -> dict:
+    """Facet key → (facet, incident items) over the facets of the items' cones.
+
+    Each item is a tuple whose first entry is a cone; an item is listed under
+    every facet of its cone, in input order.  Facets are matched by exact
+    key, so a wall is only seen whole when the cones meet face to face.
+    """
+    groups = {}
+    for item in items:
+        for f in item[0].facets():
+            groups.setdefault(f.key(), (f, []))[1].append(item)
+    return groups
 
 
 def _group_by_span(pairs: Sequence) -> dict:
@@ -221,20 +232,8 @@ def is_zero_cycle(pairs: Sequence, ambient: int) -> bool:
                 return False
             continue
         basis = saturation_basis([list(r) for r in key])
-        d = len(basis)
-        local = [(_span_coords_cone(c, basis), w) for c, w in members]
-        normals = set()
-        for c, _ in local:
-            for a in c.ineqs:
-                normals.add(sign_normalized(a))
-        chambers = chamber_complex(sorted(normals), d)
-        for ch in chambers:
-            p = (0,) * d
-            for r in ch.rays:
-                p = vadd(p, r)
-            total = sum(w for c, w in local if c.contains(p))
-            if total != 0:
-                return False
+        if any(total != 0 for _, total in _chamber_totals(members, basis)):
+            return False
     return True
 
 
@@ -283,6 +282,27 @@ def pushforward(fan: WeightedFan, rows: Sequence) -> WeightedFan:
     return WeightedFan(m, _refine_to_fan(images, m, fan.dim), dim=fan.dim)
 
 
+def _chamber_totals(members: Sequence, basis, extra_normals=()):
+    """(chamber, total weight) over the chambers of one span group.
+
+    The members' cones, all spanning the lattice with the given basis, are
+    written in its coordinates and chambered by the arrangement of all their
+    facet normals plus ``extra_normals``; each chamber gets the total weight
+    of the members containing its interior.
+    """
+    local = [(_span_coords_cone(c, basis), w) for c, w in members]
+    normals = set(extra_normals)
+    for c, _ in local:
+        for a in c.ineqs:
+            normals.add(sign_normalized(a))
+    d = len(basis)
+    for ch in chamber_complex(sorted(normals), d):
+        p = (0,) * d
+        for r in ch.rays:
+            p = vadd(p, r)
+        yield ch, sum(w for c, w in local if c.contains(p))
+
+
 def _cross_span_normals(key_i, key_j, basis_i, ambient: int):
     """Normals (in span-i coordinates) of a (d−1)-dimensional span overlap."""
     d = len(basis_i)
@@ -308,27 +328,12 @@ def _refine_to_fan(images: Sequence, ambient: int, dim: int) -> list:
         if not key:
             total = sum(w for _, w in groups[key])
             if total:
-                from .cones import origin_cone
                 out.append((origin_cone(ambient), total))
             continue
         basis = saturation_basis([list(r) for r in key])
-        d = len(basis)
-        local = [(_span_coords_cone(c, basis), w) for c, w in groups[key]]
-        normals = set()
-        for c, _ in local:
-            for a in c.ineqs:
-                normals.add(sign_normalized(a))
-        for other in keys:
-            if other is key:
-                continue
-            for nrm in _cross_span_normals(key, other, basis, ambient):
-                normals.add(nrm)
-        chambers = chamber_complex(sorted(normals), d)
-        for ch in chambers:
-            p = (0,) * d
-            for r in ch.rays:
-                p = vadd(p, r)
-            total = sum(w for c, w in local if c.contains(p))
+        cross = [nrm for other in keys if other is not key
+                 for nrm in _cross_span_normals(key, other, basis, ambient)]
+        for ch, total in _chamber_totals(groups[key], basis, cross):
             if total == 0:
                 continue
             amb_rays = [_from_coords(r, basis) for r in ch.rays]
@@ -380,7 +385,7 @@ def stable_intersection_number(t_fan: WeightedFan, f_fan: WeightedFan,
         total = _displaced_count(t_fan, f_fan, v)
         if total is not None:
             return total
-    raise RuntimeError("no generic displacement found")
+    raise NotGeneric("no generic displacement found")
 
 
 def _displaced_count(t_fan: WeightedFan, f_fan: WeightedFan, v):
@@ -422,10 +427,9 @@ def _meet_point(sigma: Cone, tau: Cone, v):
     hits = [r for r in hom.rays if r[-1] > 0]
     if not hits:
         return None
-    if len(hits) > 1:
-        # a bounded slice can only be a single point here; two rays with
-        # positive last coordinate mean the displacement was degenerate
-        return tuple(Fraction(hits[0][i], hits[0][-1]) for i in range(n))
+    # a bounded slice can only be a single point here; several rays with
+    # positive last coordinate mean the displacement was degenerate, which
+    # the caller's rank test rejects, so any hit will do
     r = hits[0]
     return tuple(Fraction(r[i], r[-1]) for i in range(n))
 

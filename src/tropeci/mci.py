@@ -260,32 +260,6 @@ def tci_threshold(matroid: Matroid, support: SupportMultiset, k: int, l):
     return dot(l, support.point(chosen[-1]))
 
 
-def _selection_region(mci: MCI, prefix: Sequence):
-    """Closed cone of covectors on which the greedy walk can select `prefix`.
-
-    At step t the chosen id must beat every id that would also have grown the
-    rank, so the region is cut out by the inequalities l(s_t) ≥ l(a) over the
-    eligible a.  The threshold values l(s_t) are correct on the whole region
-    even where several selections tie.
-    """
-    ineqs = []
-    chosen = []
-    for st in prefix:
-        p = mci.support.point(st)
-        r = len(chosen)
-        for a in mci.support.ids():
-            if a in chosen or a == st:
-                continue
-            if mci.matroid.rank(chosen + [a]) > r:
-                d = vsub(p, mci.support.point(a))
-                if any(d):
-                    ineqs.append(d)
-        chosen.append(st)
-    if not ineqs:
-        return full_space(mci.ambient)
-    return Cone(mci.ambient, ineqs=ineqs)
-
-
 def _prefix_regions(mci: MCI) -> dict:
     """Selection regions of every greedy prefix that covers an open cone.
 

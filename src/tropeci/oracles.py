@@ -3,12 +3,11 @@
 Everything here is deliberately naive: direct formulas and brute-force
 enumeration, kept apart from the main algorithms so that the two routes can
 disagree loudly when one of them is wrong.  sympy is imported lazily; it is
-only needed for the resultant and root-counting oracles.
+only needed for the resultant oracles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from random import Random
 from typing import Sequence
@@ -20,7 +19,6 @@ __all__ = [
     "mixed_volume_ie",
     "pick_normalized_area",
     "boundary_lattice_points",
-    "count_positive_roots",
     "resultant_support",
     "hull_sign_changes",
     "random_lattice_polytope",
@@ -41,22 +39,6 @@ def pick_normalized_area(poly: LatticePolytope) -> int:
     b = boundary_lattice_points(poly)
     i = poly.n_lattice_points() - b
     return 2 * i + b - 2
-
-
-def count_positive_roots(coeffs: dict[int, Fraction]) -> int:
-    """Exact number of roots of Σ c_e x^e in the open interval (0, ∞)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(str(c)) * x**e for e, c in coeffs.items() if c)
-    if expr == 0:
-        raise ValueError("zero polynomial")
-    poly = sympy.Poly(sympy.expand(expr), x)
-    # strip the root at 0 so the open interval count is exact
-    low = min(e for e, c in coeffs.items() if c)
-    if low:
-        poly = sympy.Poly(sympy.expand(expr / x**low), x)
-    return poly.count_roots(0, sympy.oo) - (1 if poly.eval(0) == 0 else 0)
 
 
 def resultant_support(f: dict, g: dict, eliminate: int = 0) -> list:

@@ -12,13 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Chamber, Cone, chamber_complex, full_space, may_meet_full_dim
-from .fans import NotBalanced, WeightedFan, is_balanced, wall_lift
+from .cones import Cone, chamber_complex, common_refinement
+from .fans import NotBalanced, WeightedFan, group_walls, is_balanced, wall_lift
 from .linalg import (
     dot,
     in_span,
     kernel_basis,
-    primitive,
     sign_normalized,
     vadd,
     vscale,
@@ -48,13 +47,6 @@ class PLFunction:
         for cone, l in self.cells:
             if cone.contains(x):
                 return dot(l, x)
-        raise ValueError(f"point {x} outside the domain")
-
-    def covector_at(self, x):
-        """Covector of some cell containing x (unique up to wall agreement)."""
-        for cone, l in self.cells:
-            if cone.contains(x):
-                return l
         raise ValueError(f"point {x} outside the domain")
 
     def scale(self, c) -> "PLFunction":
@@ -87,21 +79,9 @@ def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise sum on the common refinement of the two cell structures."""
     if f.ambient != g.ambient:
         raise ValueError("ambient mismatch")
-    cells = []
-    seen = set()
-    for cone, l in f.cells:
-        for other, m in g.cells:
-            if not may_meet_full_dim(cone, other):
-                continue
-            inter = cone.intersect(other)
-            if inter.dim < f.ambient:
-                continue
-            k = inter.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            cells.append((inter, vadd(l, m)))
-    return PLFunction(f.ambient, cells)
+    return PLFunction(f.ambient, [
+        (piece, vadd(l, m))
+        for piece, l, (m,) in common_refinement(f.cells, [g.cells], f.ambient)])
 
 
 def pullback_linear(m: PLFunction, rows: Sequence) -> PLFunction:
@@ -134,21 +114,8 @@ def refine_with_function(t_fan: WeightedFan, m: PLFunction) -> list:
     Returns (cone, weight, covector) triples whose cones tile the support of
     the fan and on each of which m is linear.
     """
-    out = []
-    seen = set()
-    for sigma, w in t_fan.cones:
-        for cell, l in m.cells:
-            if not may_meet_full_dim(sigma, cell):
-                continue
-            piece = sigma.intersect(cell)
-            if piece.dim < t_fan.dim:
-                continue
-            k = piece.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            out.append((piece, w, l))
-    return out
+    return [(piece, w, l) for piece, w, (l,) in
+            common_refinement(t_fan.cones, [m.cells], t_fan.dim)]
 
 
 def corner_locus(m: PLFunction, t_fan: WeightedFan, check: bool = True) -> WeightedFan:
@@ -158,22 +125,18 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan, check: bool = True) -> Weigh
     cells of m; each wall ρ gets the weight Σ w_j·m(ũ_j) − ℓ_ρ(Σ w_j·ũ_j)
     over incident refined cones with quotient lifts ũ_j.
 
-    The refined pieces must meet along common faces; walls are matched by
-    their face keys, so a piece subdivided differently from its neighbour
-    would hide the jump across their shared boundary.  Cell structures cut
-    from a common arrangement satisfy this automatically.
+    Walls are matched by their face keys, so the refined pieces must meet
+    face to face; with ``check`` on, a wall whose weighted lifts leave its
+    span (as when a piece is subdivided differently from its neighbour)
+    raises NotBalanced instead of returning a wrong cycle.  Cell structures
+    cut from a common arrangement always meet face to face.
     """
     if check and not is_balanced(t_fan, check_fan=False):
         raise NotBalanced("corner locus requires a balanced input cycle")
     if t_fan.is_zero():
         return WeightedFan(t_fan.ambient, [], dim=max(t_fan.dim - 1, -1))
-    pieces = refine_with_function(t_fan, m)
-    groups = {}
-    for cone, w, l in pieces:
-        for f in cone.facets():
-            groups.setdefault(f.key(), (f, []))[1].append((cone, w, l))
     walls = []
-    for key, (wall, incident) in groups.items():
+    for wall, incident in group_walls(refine_with_function(t_fan, m)).values():
         l_wall = incident[0][2]
         total_lift = (0,) * t_fan.ambient
         weight = 0
@@ -181,6 +144,8 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan, check: bool = True) -> Weigh
             u = wall_lift(wall, cone)
             weight += w * dot(l, u)
             total_lift = vadd(total_lift, vscale(w, u))
+        if check and not in_span(wall.span_rows(), total_lift):
+            raise NotBalanced("refined pieces do not meet face to face")
         weight -= dot(l_wall, total_lift)
         if isinstance(weight, Fraction) and weight.denominator == 1:
             weight = weight.numerator

@@ -113,9 +113,6 @@ class LatticePolytope:
         self._faces = sorted(tuple(sorted(s)) for s in closed)
         return self._faces
 
-    def face_polytope(self, face_vertices) -> "LatticePolytope":
-        return LatticePolytope(face_vertices)
-
     def normal_fan(self) -> list:
         """(cone, vertex) pairs; the cone collects the l maximized at the vertex."""
         out = []

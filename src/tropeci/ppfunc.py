@@ -7,7 +7,10 @@ computed by a different and more robust route: F is expanded over a
 simplicial refinement into products of Courant hat functions (the piecewise
 linear barycentric coordinates of the rays), and each product of hats is
 folded through the ordinary piecewise-linear corner locus.  The two routes
-agree on products of PL functions, which is what pins the semantics.
+agree on products of PL functions, which is what pins the semantics.  Both
+cut cells with ``cones.common_refinement`` and find walls with
+``fans.group_walls``; only the wall arithmetic is separate (polynomials
+here, covectors in ``plfunc``), and that is what the agreement checks.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, may_meet_full_dim
-from .fans import NotBalanced, WeightedFan, wall_lift
+from .cones import Cone, chamber_complex, common_refinement
+from .fans import NotBalanced, WeightedFan, group_walls, wall_lift
 from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, solve, vadd, vscale
 from .plfunc import PLFunction, corner_locus
 
@@ -204,27 +207,10 @@ def pp_from_pl_product(ms: Sequence[PLFunction]) -> PPFunction:
     if not ms:
         raise ValueError("need at least one factor")
     n = ms[0].ambient
-    pieces = [(c, [l]) for c, l in ms[0].cells]
-    for m in ms[1:]:
-        nxt = []
-        seen = set()
-        for cone, ls in pieces:
-            for cell, l in m.cells:
-                if not may_meet_full_dim(cone, cell):
-                    continue
-                inter = cone.intersect(cell)
-                if inter.dim < n:
-                    continue
-                k = inter.key()
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append((inter, ls + [l]))
-        pieces = nxt
     cells = []
-    for cone, ls in pieces:
+    for cone, l0, ls in common_refinement(ms[0].cells, [m.cells for m in ms[1:]], n):
         p = Poly.const(n, 1)
-        for l in ls:
+        for l in [l0] + ls:
             p = p * Poly.linear(l)
         cells.append((cone, p))
     return PPFunction(n, len(ms), cells)
@@ -244,27 +230,11 @@ def pp_corner_locus(f: PPFunction, t_fan: WeightedFan, check: bool = True) -> We
     n = f.ambient
     if check and not f.check_continuity():
         raise NotContinuous("pieces disagree on a shared face")
-    pieces = []
-    seen = set()
-    for sigma, w in t_fan.cones:
-        wp = _to_poly_weight(w, n)
-        for cell, p in f.cells:
-            if not may_meet_full_dim(sigma, cell):
-                continue
-            piece = sigma.intersect(cell)
-            if piece.dim < t_fan.dim:
-                continue
-            k = piece.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            pieces.append((piece, wp, p))
-    groups = {}
-    for cone, w, p in pieces:
-        for facet in cone.facets():
-            groups.setdefault(facet.key(), (facet, []))[1].append((cone, w, p))
+    seed = [(sigma, _to_poly_weight(w, n)) for sigma, w in t_fan.cones]
+    pieces = [(piece, w, p) for piece, w, (p,) in
+              common_refinement(seed, [f.cells], t_fan.dim)]
     walls = []
-    for key, (wall, incident) in groups.items():
+    for wall, incident in group_walls(pieces).values():
         span = wall.span_rows()
         v_polys = [Poly(n, {}) for _ in range(n)]
         defect = Poly(n, {})

@@ -2,9 +2,11 @@ from random import Random
 
 import pytest
 
+from tropeci import fans
 from tropeci.cones import Cone, NotAFan, full_space
 from tropeci.fans import (
     NotComplementary,
+    NotGeneric,
     NotSurjective,
     WeightedFan,
     check_fan_structure,
@@ -164,6 +166,12 @@ def test_stable_intersection_lattice_index():
 def test_stable_intersection_requires_complementary_dims():
     with pytest.raises(NotComplementary):
         stable_intersection_number(LINE, WeightedFan(2, [(full_space(2), 1)]))
+
+
+def test_stable_intersection_names_a_failed_displacement_search(monkeypatch):
+    monkeypatch.setattr(fans, "_displaced_count", lambda t_fan, f_fan, v: None)
+    with pytest.raises(NotGeneric):
+        stable_intersection_number(LINE, LINE)
 
 
 def test_connectivity_of_support():

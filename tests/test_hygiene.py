@@ -1,0 +1,66 @@
+"""Cheap structural checks on the package source.
+
+The benchmark's tracer wraps functions by module and attribute name, so a
+rename inside ``tropeci`` would only surface in a slow benchmark run; and
+with no linter installed, unused imports would pile up unnoticed.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tropeci"
+
+
+def _tracing_targets() -> list:
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(mod, path) for _, mod, path, _ in module.TARGETS]
+
+
+@pytest.mark.parametrize("mod,path", _tracing_targets())
+def test_every_traced_name_resolves(mod, path):
+    obj = importlib.import_module(f"tropeci.{mod}")
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    assert callable(obj)
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    assert _unused_imports("from .x import a, b\nprint(a)\n") == ["line 1: b"]
+    assert _unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text()) == []

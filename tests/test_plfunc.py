@@ -147,3 +147,22 @@ def test_pullback_into_wall_keeps_continuity():
     pb = pullback_linear(m, [[0], [1]])
     assert pb.value((2,)) == 2
     assert pb.value((-3,)) == 0
+
+
+def test_corner_locus_rejects_cells_that_do_not_meet_face_to_face():
+    # max(x, 0) on the plane, once as two half-planes and once with the
+    # half-plane x >= 0 cut into quadrants: the wall x = 0 is then whole on
+    # one side and split on the other, so walls matched by face key would
+    # lose its jump and return the zero cycle
+    right, left = Cone(2, ineqs=[(1, 0)]), Cone(2, ineqs=[(-1, 0)])
+    halves = PLFunction(2, [(right, (1, 0)), (left, (0, 0))])
+    assert halves.check_continuity()
+    y_axis = WeightedFan(2, [(Cone(2, rays=[], lineality=[(0, 1)]), 1)])
+    assert fans_equal(corner_locus(halves, AMBIENT2), y_axis)
+
+    upper = Cone(2, ineqs=[(1, 0), (0, 1)])
+    lower = Cone(2, ineqs=[(1, 0), (0, -1)])
+    quadrants = PLFunction(2, [(upper, (1, 0)), (lower, (1, 0)), (left, (0, 0))])
+    assert quadrants.check_continuity()
+    with pytest.raises(NotBalanced, match="face to face"):
+        corner_locus(quadrants, AMBIENT2)
