@@ -8,12 +8,15 @@ integer vectors; every conversion is exact.
 The module also provides the incremental hyperplane-arrangement builder used
 by the threshold pipeline: it splits cells hyperplane by hyperplane while
 maintaining tightness bitmasks, so no from-scratch conversion is ever needed
-inside that hot path.
+inside that hot path.  The conversion and the arrangement builder cut with
+one double-description step, :func:`_cut`.  Pairwise work on cell lists also
+lives here: :func:`overlaps` lists the pairs of cones that meet off the
+origin, and :func:`common_refinement` cuts tagged cones by cell lists.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     _reduce_row,
@@ -25,7 +28,6 @@ from .linalg import (
     primitive,
     rank,
     saturation_basis,
-    vadd,
     vneg,
     vscale,
     vsub,
@@ -84,52 +86,59 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
 
     order = base_idx + [i for i in range(len(rows)) if i not in base_idx]
     inv_mat, _ = inverse_rows(base)
-    rays = []
+    rays, masks = [], []
     for j in range(m):
         r = primitive(tuple(row[j] for row in inv_mat))
         mask = 0
         for b, row in enumerate(base):
             if dot(row, r) == 0:
                 mask |= 1 << b
-        rays.append((r, mask))
+        rays.append(r)
+        masks.append(mask)
 
     for step in range(m, len(order)):
         a = rows[order[step]]
         bit = 1 << step
-        vals = [dot(a, r) for r, _ in rays]
+        vals = [dot(a, r) for r in rays]
         if all(v >= 0 for v in vals):
-            rays = [(r, mk | bit if v == 0 else mk) for (r, mk), v in zip(rays, vals)]
+            masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
             continue
         if all(v <= 0 for v in vals):
             # opposite member of an equation pair already cut everything
-            rays = [(r, mk | bit) for (r, mk), v in zip(rays, vals) if v == 0]
+            keep = [i for i, v in enumerate(vals) if v == 0]
+            rays, masks = [rays[i] for i in keep], [masks[i] | bit for i in keep]
             continue
-        idx = list(range(len(rays)))
-        pos = [(i, r, mk, v) for i, ((r, mk), v) in enumerate(zip(rays, vals)) if v > 0]
-        neg = [(i, r, mk, v) for i, ((r, mk), v) in enumerate(zip(rays, vals)) if v < 0]
-        zero = [(r, mk | bit) for (r, mk), v in zip(rays, vals) if v == 0]
-        masks_all = [mk for _, mk in rays]
-        new = [(r, mk) for _, r, mk, _ in pos] + zero
-        for ip, rp, mp, vp in pos:
-            for im, rn, mn, vn in neg:
-                if not _adjacent(mp & mn, ip, im, masks_all):
-                    continue
-                comb = primitive(vsub(vscale(vp, rn), vscale(vn, rp)))
-                new.append((comb, (mp & mn) | bit))
-        # dedupe combined rays (can coincide when several pairs share a face)
-        seen, rays = {}, []
-        for r, mk in new:
-            if r in seen:
-                rays[seen[r]] = (r, rays[seen[r]][1] | mk)
-            else:
-                seen[r] = len(rays)
-                rays.append((r, mk))
+        (rays, masks), _ = _cut(rays, masks, vals, bit)
 
     out = []
-    for r, _ in rays:
+    for r in rays:
         x = tuple(sum(r[i] * w[i][j] for i in range(m)) for j in range(ambient))
         out.append(primitive(x))
     return sorted(_dedupe(out)), lin
+
+
+def _cut(rays, masks, vals, bit):
+    """One double-description step: split a pointed cone by a hyperplane a·x = 0.
+
+    ``vals`` holds a·r for the extreme rays ``rays`` (some of each sign),
+    ``masks`` their tightness bitmasks and ``bit`` marks the new hyperplane.
+    A positive and a negative ray that are adjacent (no third ray is tight
+    wherever both are: Fukuda–Prodon 1996, *Double description method
+    revisited*) give a primitive crossing ray, tight at ``bit`` too, and
+    coinciding crossings merge their masks.  Returns ``(rays, masks)`` for the
+    sides a·x ≥ 0 and a·x ≤ 0: strict rays, then tight rays, then crossings.
+    """
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    neg = [i for i, v in enumerate(vals) if v < 0]
+    shared = {rays[i]: masks[i] | bit for i, v in enumerate(vals) if v == 0}
+    for i in pos:
+        for j in neg:
+            z = masks[i] & masks[j]
+            if _adjacent(z, i, j, masks):
+                c = primitive(vsub(vscale(vals[i], rays[j]), vscale(vals[j], rays[i])))
+                shared[c] = shared.get(c, 0) | z | bit
+    return [([rays[i] for i in side] + list(shared),
+             [masks[i] for i in side] + list(shared.values())) for side in (pos, neg)]
 
 
 def _adjacent(z, i, j, masks_all) -> bool:
@@ -227,12 +236,8 @@ class Cone:
             all(dot(e, x) == 0 for e in self.eqs)
 
     def relint_point(self) -> tuple:
-        if not self.rays:
-            return (0,) * self.ambient
-        out = self.rays[0]
-        for r in self.rays[1:]:
-            out = vadd(out, r)
-        return out
+        """Sum of the extreme rays (the origin when there are none)."""
+        return tuple(map(sum, zip(*self.rays))) if self.rays else (0,) * self.ambient
 
     def facets(self) -> list:
         """Codimension-1 faces (empty for a linear subspace)."""
@@ -318,6 +323,15 @@ def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
     return pieces
 
 
+def overlaps(cones: Sequence) -> Iterator:
+    """(i, j, intersection) for each pair i < j of cones meeting off the origin."""
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            inter = cones[i].intersect(cones[j])
+            if inter.dim > 0:
+                yield i, j, inter
+
+
 def full_space(ambient: int) -> Cone:
     basis = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
     return Cone(ambient, rays=[], lineality=basis, _trusted=True)
@@ -370,7 +384,8 @@ def chamber_complex(normals: Sequence, ambient: int) -> list[Chamber]:
                               for mk, v in zip(cell.masks, vals)]
                 nxt.append(cell)
                 continue
-            nxt.extend(_split_rays(cell, h, vals, bit))
+            nxt += [Chamber(r, mk, cell.lin)
+                    for r, mk in _cut(cell.rays, cell.masks, vals, bit)]
         cells = nxt
     for i, c in enumerate(cells):
         c.index = i
@@ -398,32 +413,3 @@ def _split_lineality(cell: Chamber, h, lin_vals, bit, step):
     minus = Chamber(list(proj) + [vneg(up)], list(pmasks) + [prev_mask], new_lin)
     return [plus, minus]
 
-
-def _split_rays(cell: Chamber, h, vals, bit):
-    pos = [(i, r, mk, v) for i, (r, mk, v) in
-           enumerate(zip(cell.rays, cell.masks, vals)) if v > 0]
-    neg = [(i, r, mk, v) for i, (r, mk, v) in
-           enumerate(zip(cell.rays, cell.masks, vals)) if v < 0]
-    zero = [(r, mk | bit) for r, mk, v in zip(cell.rays, cell.masks, vals) if v == 0]
-    masks_all = cell.masks
-    combos = []
-    for ip, rp, mp, vp in pos:
-        for im, rn, mn, vn in neg:
-            if not _adjacent(mp & mn, ip, im, masks_all):
-                continue
-            combos.append((primitive(vsub(vscale(vp, rn), vscale(vn, rp))),
-                           (mp & mn) | bit))
-    seen = {}
-    for r, mk in combos:
-        if r in seen:
-            seen[r] |= mk
-        else:
-            seen[r] = mk
-    combos = [(r, mk) for r, mk in seen.items()]
-    plus = Chamber([r for _, r, _, _ in pos] + [r for r, _ in zero] + [r for r, _ in combos],
-                   [mk for _, _, mk, _ in pos] + [mk for _, mk in zero] + [mk for _, mk in combos],
-                   cell.lin)
-    minus = Chamber([r for _, r, _, _ in neg] + [r for r, _ in zero] + [r for r, _ in combos],
-                    [mk for _, _, mk, _ in neg] + [mk for _, mk in zero] + [mk for _, mk in combos],
-                    cell.lin)
-    return [plus, minus]

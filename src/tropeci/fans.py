@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .cones import Cone, NotAFan, chamber_complex, origin_cone
+from .cones import Cone, NotAFan, chamber_complex, origin_cone, overlaps
 from .linalg import (
     canonical_span_rows,
     coordinates_in_basis,
@@ -142,10 +142,7 @@ def wall_lift(rho: Cone, tau: Cone):
         raise ValueError("cone does not leave the span of the wall")
     if s < 0:
         x = tuple(-t for t in x)
-    lift = [0] * tau.ambient
-    for xi, b in zip(x, b_tau):
-        lift = vadd(lift, vscale(xi, b))
-    return tuple(lift)
+    return _from_coords(x, b_tau)
 
 
 def _is_face_of(cone: Cone, sub: Cone) -> bool:
@@ -160,14 +157,9 @@ def _is_face_of(cone: Cone, sub: Cone) -> bool:
 def check_fan_structure(fan: WeightedFan) -> None:
     """Raise NotAFan unless cones meet pairwise in common faces."""
     cones = [c for c, _ in fan.cones]
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            inter = cones[i].intersect(cones[j])
-            if inter.dim == 0:
-                continue  # cones meeting only at the origin never overlap
-            if not _is_face_of(cones[i], inter) or not _is_face_of(cones[j], inter):
-                raise NotAFan(
-                    f"cones {i} and {j} overlap without a common face")
+    for i, j, inter in overlaps(cones):
+        if not _is_face_of(cones[i], inter) or not _is_face_of(cones[j], inter):
+            raise NotAFan(f"cones {i} and {j} overlap without a common face")
 
 
 def is_balanced(fan: WeightedFan, check_fan: bool = True) -> bool:
@@ -297,9 +289,7 @@ def _chamber_totals(members: Sequence, basis, extra_normals=()):
             normals.add(sign_normalized(a))
     d = len(basis)
     for ch in chamber_complex(sorted(normals), d):
-        p = (0,) * d
-        for r in ch.rays:
-            p = vadd(p, r)
+        p = ch.cone(d).relint_point()
         yield ch, sum(w for c, w in local if c.contains(p))
 
 
@@ -448,11 +438,8 @@ def support_connected_off_origin(fan: WeightedFan) -> bool:
             i = parent[i]
         return i
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            inter = cones[i].intersect(cones[j])
-            if inter.dim >= 1:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
+    for i, j, _ in overlaps(cones):
+        pi, pj = find(i), find(j)
+        if pi != pj:
+            parent[pi] = pj
     return len({find(i) for i in range(k)}) == 1

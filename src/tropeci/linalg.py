@@ -9,11 +9,11 @@ to integer rows with the same row space (:func:`_int_rows`), never truncated.
 :func:`inverse_rows` share one fraction-free Gauss–Jordan core,
 :func:`_gauss_jordan` (Bareiss's integer-preserving elimination); they build a
 ``Fraction`` at most once per output entry.  Rank, span membership and the
-canonical reduced bases go through the primitive-row reduction
-:func:`_reduce_row`.  :func:`smith_with_basis` diagonalizes an integer matrix
-by unimodular operations while tracking the inverse column transform; that
-single routine yields saturations, lattice complements and sublattice
-indices.
+canonical reduced bases go through one forward reduction, :func:`_forward`,
+built on the primitive-row reduction :func:`_reduce_row`.
+:func:`smith_with_basis` diagonalizes an integer matrix by unimodular
+operations while tracking the inverse column transform; that single routine
+yields saturations, lattice complements and sublattice indices.
 """
 
 from __future__ import annotations
@@ -141,44 +141,32 @@ def _reduce_row(row: list, red: list) -> int | None:
     return piv
 
 
-def _int_echelon(rows: Mat) -> list:
-    """Reduced row echelon data: sorted ``(pivot_col, primitive row)`` pairs."""
+def _forward(rows: Mat) -> list:
+    """``(pivot_col, primitive row)`` of each row, scaled to integers, that
+    does not vanish when reduced against the rows kept before it."""
     red = []
     for r in _int_rows(rows)[0]:
         piv = _reduce_row(r, red)
         if piv is not None:
             red.append((piv, r))
-    red.sort()
-    # back-eliminate so every pivot column is clear in the other rows
-    for k in range(len(red) - 1, -1, -1):
-        pc, pr = red[k]
-        p = pr[pc]
-        for i in range(k):
-            row = red[i][1]
-            x = row[pc]
-            if x:
-                g = gcd(abs(x), p)
-                a, b = p // g, x // g
-                for j in range(len(row)):
-                    row[j] = a * row[j] - b * pr[j]
-                gg = 0
-                for y in row:
-                    gg = gcd(gg, abs(y))
-                if row[red[i][0]] < 0:
-                    gg = -gg
-                for j in range(len(row)):
-                    row[j] //= gg
+    return red
+
+
+def _int_echelon(rows: Mat) -> list:
+    """Reduced row echelon data: sorted ``(pivot_col, primitive row)`` pairs."""
+    red = sorted(_forward(rows))
+    # back-eliminate so every pivot column is clear in the other rows; the
+    # primitive reduced echelon form is unique, so the order does not matter
+    for i in range(len(red) - 2, -1, -1):
+        later = red[i + 1:]
+        if any(red[i][1][pc] for pc, _ in later):
+            _reduce_row(red[i][1], later)
     return red
 
 
 def rank(rows: Mat) -> int:
     """Rank over ℚ by fraction-free elimination."""
-    red = []
-    for r in _int_rows(rows)[0]:
-        piv = _reduce_row(r, red)
-        if piv is not None:
-            red.append((piv, r))
-    return len(red)
+    return len(_forward(rows))
 
 
 def _gauss_jordan(m: list, ncols: int) -> tuple[list, int, int]:
@@ -314,13 +302,8 @@ def inverse_rows(rows: Mat):
 
 def in_span(rows: Mat, v) -> bool:
     """Is v in the ℚ-span of the rows?"""
-    base = []
-    for r in _int_rows(rows)[0]:
-        piv = _reduce_row(r, base)
-        if piv is not None:
-            base.append((piv, r))
     probe = _int_rows([tuple(v)])[0][0]
-    return _reduce_row(probe, base) is None
+    return _reduce_row(probe, _forward(rows)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Matroids over lattice multisets and the threshold construction.
 
 The central algorithm turns a matroid on a finite lattice multiset into a
-nested chain of weighted fans: refine covector space by all pair-difference
-hyperplanes, run the matroid greedy selection once per chamber (it is
-constant there), read off each step's piecewise-linear threshold function,
-and fold it through the corner locus.  The weight of the final
-zero-dimensional fan is the generalized BKK number.
+nested chain of weighted fans.  It walks the prefixes of the matroid greedy
+selection depth first, keeping a prefix only while the cone of covectors
+that select it is full dimensional (``_prefix_regions``); on the region of a
+length-k prefix the k-th threshold function is linear, so the regions of
+each length give that piecewise-linear function, which is folded through the
+corner locus.  The weight of the final zero-dimensional fan is the
+generalized BKK number.
 """
 
 from __future__ import annotations

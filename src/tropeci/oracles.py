@@ -1,4 +1,4 @@
-"""Independent cross-checks used by the test suite and the verify command.
+"""Independent cross-checks used by the test suite.
 
 Everything here is deliberately naive: direct formulas and brute-force
 enumeration, kept apart from the main algorithms so that the two routes can

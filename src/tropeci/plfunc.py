@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, common_refinement
+from .cones import Cone, chamber_complex, common_refinement, overlaps
 from .fans import NotBalanced, WeightedFan, group_walls, is_balanced, wall_lift
 from .linalg import (
     dot,
@@ -55,15 +55,10 @@ class PLFunction:
 
     def check_continuity(self) -> bool:
         cells = self.cells
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                inter = cells[i][0].intersect(cells[j][0])
-                if inter.dim == 0:
-                    continue
-                diff = vsub(cells[i][1], cells[j][1])
-                for b in inter.span_rows():
-                    if dot(diff, b) != 0:
-                        return False
+        for i, j, inter in overlaps([c for c, _ in cells]):
+            diff = vsub(cells[i][1], cells[j][1])
+            if any(dot(diff, b) != 0 for b in inter.span_rows()):
+                return False
         return True
 
     def __repr__(self):
@@ -201,12 +196,7 @@ def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
             raise NotADivisor("weights must be integers")
     normals = _wall_hyperplanes(divisor)
     chambers = chamber_complex(normals, n)
-    points = []
-    for ch in chambers:
-        p = (0,) * n
-        for r in ch.rays:
-            p = vadd(p, r)
-        points.append(p)
+    points = [ch.cone(n).relint_point() for ch in chambers]
     sigs = []
     for p in points:
         sigs.append(tuple(1 if dot(h, p) > 0 else -1 for h in normals))

@@ -1,11 +1,14 @@
 """Lattice polytopes: hulls, faces, exact volumes, lattice points, sums.
 
-A polytope is the convex hull of finitely many points of ℤ^n, stored by its
-vertex list.  The hull itself is computed through the homogenization cone
-over {(v, 1)}, so the double description machinery provides both the vertex
-normalization and the irredundant facet list.  Volumes are normalized: the
-``normalized_volume`` of P is n!·(Euclidean volume), the natural scale for
-lattice geometry (a fundamental simplex has volume 1).
+A polytope is the convex hull of finitely many points of ℤ^n.  Each polytope
+builds the homogenization cone over {(p, 1)} once and keeps it: its extreme
+rays are the lifted vertices, its inequalities the facets (plus the far
+hyperplane) and its equations the affine hull, so the vertex list, the
+dimension, the facet list and the containment tests all read one cone.  A
+single point is its own trusted ray, so it runs no conversion until its
+facets are asked for.  Volumes are normalized: the ``normalized_volume`` of
+P is n!·(Euclidean volume), the natural scale for lattice geometry (a
+fundamental simplex has volume 1).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .linalg import (
     coordinates_in_basis,
     det,
     dot,
-    rank,
     saturation_basis,
     vadd,
     vgcd,
@@ -32,7 +34,7 @@ class DimMismatch(ValueError):
 
 
 class LatticePolytope:
-    __slots__ = ("ambient", "vertices", "_facets", "_faces", "_span")
+    __slots__ = ("ambient", "vertices", "_cone", "_facets", "_faces", "_span")
 
     def __init__(self, points: Iterable[Sequence[int]]):
         pts = sorted({tuple(int(x) for x in p) for p in points})
@@ -41,7 +43,10 @@ class LatticePolytope:
         self.ambient = len(pts[0])
         if any(len(p) != self.ambient for p in pts):
             raise DimMismatch("DimMismatch: points of unequal dimension")
-        self.vertices = _hull_vertices(pts)
+        lifted = [p + (1,) for p in pts]
+        self._cone = Cone(self.ambient + 1, rays=lifted, _trusted=len(pts) == 1)
+        # the lifted points have last coordinate 1, so each extreme ray is (v, 1)
+        self.vertices = [r[:-1] for r in self._cone.rays]
         self._facets = None
         self._faces = None
         self._span = None
@@ -50,8 +55,7 @@ class LatticePolytope:
 
     @property
     def dim(self) -> int:
-        v0 = self.vertices[0]
-        return rank([vsub(v, v0) for v in self.vertices[1:]])
+        return self._cone.dim - 1
 
     def span_rows(self) -> list:
         """Saturated lattice basis of the direction space of P."""
@@ -68,9 +72,8 @@ class LatticePolytope:
         b is then an integer because every facet contains lattice points.
         """
         if self._facets is None:
-            cone = Cone(self.ambient + 1, rays=[v + (1,) for v in self.vertices])
             out = []
-            for row in cone.ineqs:
+            for row in self._cone.ineqs:
                 a, b = row[:-1], row[-1]
                 if all(x == 0 for x in a):
                     continue  # the far hyperplane of the homogenization
@@ -81,8 +84,7 @@ class LatticePolytope:
 
     def affine_eqs(self) -> list:
         """Pairs (e, c) with e·x + c = 0 on P (empty if P is full-dimensional)."""
-        cone = Cone(self.ambient + 1, rays=[v + (1,) for v in self.vertices])
-        return [(row[:-1], row[-1]) for row in cone.eqs]
+        return [(row[:-1], row[-1]) for row in self._cone.eqs]
 
     def contains(self, x) -> bool:
         return all(dot(a, x) + b >= 0 for a, b in self.facets()) and \
@@ -211,21 +213,6 @@ class LatticePolytope:
 
     def __repr__(self):
         return f"LatticePolytope({self.vertices})"
-
-
-def _hull_vertices(pts: list) -> list:
-    """Extreme points of conv(pts): rays of the cone over the lifted points."""
-    if len(pts) == 1:
-        return list(pts)
-    n = len(pts[0])
-    cone = Cone(n + 1, rays=[p + (1,) for p in pts])
-    verts = []
-    for r in cone.rays:
-        # lifted points have last coordinate 1, so each extreme ray is (v, 1)
-        if r[-1] != 1:
-            raise AssertionError("homogenization produced a non-vertex ray")
-        verts.append(r[:-1])
-    return sorted(verts)
 
 
 def mixed_volume_ie(polys: Sequence[LatticePolytope]) -> Fraction:

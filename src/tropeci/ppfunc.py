@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, common_refinement
+from .cones import Cone, chamber_complex, common_refinement, overlaps
 from .fans import NotBalanced, WeightedFan, group_walls, wall_lift
 from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, solve, vadd, vscale
 from .plfunc import PLFunction, corner_locus
@@ -187,14 +187,11 @@ class PPFunction:
         raise ValueError(f"point {x} outside the domain")
 
     def check_continuity(self) -> bool:
-        for i in range(len(self.cells)):
-            for j in range(i + 1, len(self.cells)):
-                inter = self.cells[i][0].intersect(self.cells[j][0])
-                if inter.dim == 0:
-                    continue
-                diff = self.cells[i][1] - self.cells[j][1]
-                if not diff.restrict(inter.span_rows()).is_zero():
-                    return False
+        cells = self.cells
+        for i, j, inter in overlaps([c for c, _ in cells]):
+            diff = cells[i][1] - cells[j][1]
+            if not diff.restrict(inter.span_rows()).is_zero():
+                return False
         return True
 
     def __repr__(self):
@@ -287,8 +284,7 @@ def simplicial_refinement(cones: Sequence[Cone], ambient: int) -> list:
     for ch in chambers:
         if ch.lin:
             raise AssertionError("chamber unexpectedly has lineality")
-        cone = Cone(ambient, rays=ch.rays, _trusted=True)
-        out.extend(_pull_triangulate(cone, memo))
+        out.extend(_pull_triangulate(ch.cone(ambient), memo))
     return out
 
 
@@ -364,9 +360,7 @@ def _multiset_coefficients(f: PPFunction, simplices: Sequence) -> dict:
     coeffs = {}
     for s in simplices:
         p = None
-        probe = (0,) * n
-        for r in s:
-            probe = vadd(probe, r)
+        probe = tuple(map(sum, zip(*s)))
         for cone, poly in f.cells:
             if cone.contains(probe):
                 p = poly

@@ -1,5 +1,8 @@
-from tropeci.cones import Cone, chamber_complex, dual_description, full_space
-from tropeci.linalg import dot
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tropeci.cones import Cone, chamber_complex, dual_description, full_space, overlaps
+from tropeci.linalg import dot, rank, vneg
 
 
 def test_orthant_two_ways():
@@ -102,3 +105,34 @@ def test_chamber_masks_mark_tight_hyperplanes():
 def test_full_space():
     c = full_space(3)
     assert c.dim == 3 and c.ineqs == [] and c.eqs == []
+
+
+@st.composite
+def essential_arrangements(draw):
+    n = draw(st.integers(2, 4))
+    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    normals = draw(st.lists(normal, min_size=n, max_size=n + 3))
+    assume(rank(normals) == n)
+    return n, normals
+
+
+@settings(max_examples=60)
+@given(essential_arrangements())
+def test_chambers_match_a_fresh_conversion_of_their_signed_normals(case):
+    n, normals = case
+    for cell in chamber_complex(normals, n):
+        assert cell.lin == []
+        p = cell.cone(n).relint_point()
+        signed = [h if dot(h, p) > 0 else vneg(h) for h in normals]
+        assert all(dot(h, p) > 0 for h in signed)
+        assert sorted(cell.rays) == dual_description(signed, [], n)[0]
+        for r, mk in zip(cell.rays, cell.masks):
+            assert mk == sum(1 << i for i, h in enumerate(normals) if dot(h, r) == 0)
+
+
+def test_overlaps_skips_pairs_meeting_only_at_the_origin():
+    q1 = Cone(2, rays=[(1, 0), (0, 1)])
+    q2 = Cone(2, rays=[(0, 1), (-1, 0)])
+    q3 = Cone(2, rays=[(-1, 0), (0, -1)])
+    found = [(i, j, inter.rays) for i, j, inter in overlaps([q1, q2, q3])]
+    assert found == [(0, 1, [(0, 1)]), (1, 2, [(-1, 0)])]

@@ -2,7 +2,8 @@
 
 The benchmark's tracer wraps functions by module and attribute name, so a
 rename inside ``tropeci`` would only surface in a slow benchmark run; and
-with no linter installed, unused imports would pile up unnoticed.
+with no linter installed, unused imports and private helpers that nothing
+calls any more would pile up unnoticed.
 """
 
 import ast
@@ -64,3 +65,48 @@ def test_the_unused_import_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree) -> list:
+    """Private top-level functions and classes, and private methods."""
+    out = []
+    for node in tree.body:
+        defs = [node]
+        if isinstance(node, ast.ClassDef):
+            defs += node.body
+        for d in defs:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and \
+                    d.name.startswith("_") and not d.name.endswith("__"):
+                out.append((d.name, d.lineno))
+    return out
+
+
+def _referenced_names(trees) -> set:
+    out = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+def _unreferenced_private(sources: dict) -> list:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = _referenced_names(trees.values())
+    return sorted(f"{name} line {line}: {d}" for name, tree in trees.items()
+                  for d, line in _private_definitions(tree) if d not in used)
+
+
+def test_the_private_name_check_sees_a_leftover():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _left():\n    pass\n",
+               "b.py": "from a import _used\n_used()\n"
+                       "class C:\n    def _m(self):\n        pass\n"
+                       "    def __init__(self):\n        pass\n"}
+    assert _unreferenced_private(sources) == ["a.py line 4: _left", "b.py line 4: _m"]
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private(sources) == []

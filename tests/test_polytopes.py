@@ -1,8 +1,14 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tropeci import cones
+from tropeci.cones import Cone
+from tropeci.linalg import dot, rank, vgcd, vsub
 from tropeci.oracles import (
     boundary_lattice_points,
     hull_sign_changes,
@@ -152,3 +158,72 @@ def test_hull_sign_changes_oracle():
     assert hull_sign_changes([(0, 0, 1), (1, 5, -1), (2, 0, 1)]) == 2
     # middle point below the hull is invisible
     assert hull_sign_changes([(0, 0, 1), (1, -5, -1), (2, 0, 1)]) == 0
+
+
+# -- the homogenization cone against a fresh conversion ------------------------
+
+
+def _reference(points):
+    """Vertices, dim, facets and equations from fresh conversions: a cone over
+    the lifted points for the hull, another over the lifted vertices for the
+    facets and equations, and the rank of the vertex differences for the
+    dimension."""
+    pts = sorted(set(points))
+    n = len(pts[0])
+    if len(pts) == 1:
+        verts = pts
+    else:
+        verts = sorted(r[:-1] for r in Cone(n + 1, rays=[p + (1,) for p in pts]).rays)
+    hom = Cone(n + 1, rays=[v + (1,) for v in verts])
+    facets = []
+    for row in hom.ineqs:
+        a, b = row[:-1], row[-1]
+        if any(a):
+            g = vgcd(a)
+            facets.append((tuple(x // g for x in a), b // g))
+    eqs = [(row[:-1], row[-1]) for row in hom.eqs]
+    dim = rank([vsub(v, verts[0]) for v in verts[1:]])
+    return verts, dim, sorted(facets), eqs
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 3)] * n)
+    return draw(st.lists(point, min_size=1, max_size=7))
+
+
+@settings(max_examples=120)
+@given(point_sets())
+def test_polytope_reads_its_one_cone_like_fresh_conversions(points):
+    p = LatticePolytope(points)
+    verts, dim, facets, eqs = _reference(points)
+    assert p.vertices == verts
+    assert p.dim == dim
+    assert p.facets() == facets
+    assert p.affine_eqs() == eqs
+
+    def inside(x):
+        return all(dot(a, x) + b >= 0 for a, b in facets) and \
+            all(dot(e, x) + c == 0 for e, c in eqs)
+
+    cube = list(product(range(4), repeat=len(verts[0])))
+    assert p.lattice_points() == [x for x in cube if inside(x)]
+    probes = product(range(-1, 5), repeat=len(verts[0]))
+    assert all(p.contains(x) == inside(x) for x in probes)
+
+
+def test_a_single_point_runs_no_conversion_until_its_facets(monkeypatch):
+    calls = []
+    real = cones.dual_description
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cones, "dual_description", counted)
+    p = LatticePolytope([(1, 0, 2)])
+    assert (p.vertices, p.dim) == ([(1, 0, 2)], 0)
+    assert calls == []
+    assert p.facets() == [] and len(p.affine_eqs()) == 3
+    assert len(calls) == 1
