@@ -102,6 +102,11 @@ def _common_base(witnesses: Sequence[CycleWitness]) -> WeightedFan:
     return base
 
 
+def _origin_weight(factors: Sequence[PLFunction], t_fan: WeightedFan) -> int:
+    """Fold the factors through the corner locus; the weight at the origin."""
+    return iterated_corner_locus(factors, t_fan).weight_of_point((0,) * t_fan.ambient)
+
+
 def intersection_number(witnesses: Sequence[CycleWitness]) -> int:
     """Pair complementary cycles: weight at the origin of the total fold."""
     if not witnesses:
@@ -114,8 +119,7 @@ def intersection_number(witnesses: Sequence[CycleWitness]) -> int:
     flat = []
     for w in witnesses:
         flat.extend(w.flat_factors())
-    folded = iterated_corner_locus(flat, base)
-    return folded.weight_of_point((0,) * base.ambient)
+    return _origin_weight(flat, base)
 
 
 def self_intersection(tci: TCI, j: int) -> int:
@@ -131,17 +135,11 @@ def self_intersection(tci: TCI, j: int) -> int:
     if j != n - k + 1:
         raise ValueError(f"power must be {n - k + 1} for this chain, got {j}")
     factors = list(tci.functions[:-1]) + [tci.functions[-1]] * j
-    folded = iterated_corner_locus(factors, tci.fans[0])
-    return folded.weight_of_point((0,) * n)
+    return _origin_weight(factors, tci.fans[0])
 
 
 # ---------------------------------------------------------------------------
 # signature and the two-class inequality
-
-def _pairing_on(t_fan: WeightedFan, a: PLFunction, b: PLFunction) -> int:
-    folded = iterated_corner_locus([a, b], t_fan)
-    return folded.weight_of_point((0,) * t_fan.ambient)
-
 
 def _congruence_signature(gram: Sequence[Sequence]) -> tuple:
     """Inertia of a symmetric rational matrix by congruence elimination."""
@@ -198,7 +196,7 @@ def gram_signature(t_fan: WeightedFan, gens: Sequence[PLFunction]) -> tuple:
     gram = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            gram[i][j] = gram[j][i] = _pairing_on(t_fan, gens[i], gens[j])
+            gram[i][j] = gram[j][i] = _origin_weight([gens[i], gens[j]], t_fan)
     return _congruence_signature(gram)
 
 
@@ -228,9 +226,9 @@ def af_check(t_fan: WeightedFan, a1: PLFunction, a2: PLFunction) -> AFReport:
     """Quadratic comparison of two classes on a two-dimensional fan."""
     if t_fan.dim != 2:
         raise ValueError("the quadratic comparison needs a two-dimensional fan")
-    return AFReport(_pairing_on(t_fan, a1, a1),
-                    _pairing_on(t_fan, a2, a2),
-                    _pairing_on(t_fan, a1, a2))
+    return AFReport(_origin_weight([a1, a1], t_fan),
+                    _origin_weight([a2, a2], t_fan),
+                    _origin_weight([a1, a2], t_fan))
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +290,12 @@ def irreducibility_certificate(tci: TCI, level: str,
 class PairReport:
     """Outcome of the vanishing/connectedness test for a fan pair."""
 
-    __slots__ = ("interesting", "connected", "zero_product", "classification")
+    __slots__ = ("interesting", "connected", "zero_product")
 
-    def __init__(self, interesting: bool, connected: bool, zero_product: bool,
-                 classification: int | None = None):
+    def __init__(self, interesting: bool, connected: bool, zero_product: bool):
         self.interesting = interesting
         self.connected = connected
         self.zero_product = zero_product
-        self.classification = classification
 
     def __repr__(self):
         return f"PairReport(interesting={self.interesting}, " \

@@ -353,13 +353,12 @@ class Chamber:
     incremental splitting, so cells never go through a full conversion.
     """
 
-    __slots__ = ("rays", "masks", "lin", "index")
+    __slots__ = ("rays", "masks", "lin")
 
     def __init__(self, rays, masks, lin):
         self.rays = rays
         self.masks = masks
         self.lin = lin
-        self.index = -1
 
     def cone(self, ambient: int) -> Cone:
         return Cone(ambient, rays=self.rays, lineality=self.lin, _trusted=True)
@@ -387,8 +386,6 @@ def chamber_complex(normals: Sequence, ambient: int) -> list[Chamber]:
             nxt += [Chamber(r, mk, cell.lin)
                     for r, mk in _cut(cell.rays, cell.masks, vals, bit)]
         cells = nxt
-    for i, c in enumerate(cells):
-        c.index = i
     return cells
 
 

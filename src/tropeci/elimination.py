@@ -117,13 +117,8 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
     cells = []
     upper = [(Cone(amb, ineqs=[e_t]), None)]
     for cone, _, ls in common_refinement(upper, [m.cells for m in [*ms, *zeros]], amb):
-        p = Poly.const(amb, 1)
-        for l in ls[:amb]:
-            p = p * Poly.linear(l)
-        q = Poly.const(amb, 1)
-        for l in ls[amb:]:
-            q = q * Poly.linear(l)
-        cells.append((cone, p - q))
+        cells.append((cone, Poly.linear_product(amb, ls[:amb])
+                      - Poly.linear_product(amb, ls[amb:])))
     neg = tuple(-x for x in e_t)
     lower = [(Cone(amb, ineqs=[neg]), None)]
     for cone, _, _ in common_refinement(lower, [m.cells for m in ms], amb):

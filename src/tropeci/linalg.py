@@ -49,12 +49,8 @@ def primitive(v) -> Vec:
 
 
 def rational_primitive(v) -> Vec:
-    """Primitive integer vector on the ray spanned by a rational vector."""
-    den = 1
-    for x in v:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    return primitive(tuple(int(x * den) for x in v))
+    """Primitive integer vector on the ray spanned by a rational vector (read exactly)."""
+    return primitive(tuple(_int_rows([v])[0][0]))
 
 
 def dot(u, v):

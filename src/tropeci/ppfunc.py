@@ -2,27 +2,28 @@
 
 Two levels live here.  The single-step corner locus of a piecewise
 polynomial against a polynomially weighted fan implements the directional
-derivative defect wall by wall.  The number δ^N(F·T)/N! for deg F = dim T is
-computed by a different and more robust route: F is expanded over a
-simplicial refinement into products of Courant hat functions (the piecewise
-linear barycentric coordinates of the rays), and each product of hats is
-folded through the ordinary piecewise-linear corner locus.  The two routes
-agree on products of PL functions, which is what pins the semantics.  Both
-cut cells with ``cones.common_refinement`` and find walls with
-``fans.group_walls``; only the wall arithmetic is separate (polynomials
-here, covectors in ``plfunc``), and that is what the agreement checks.
+derivative defect wall by wall, cutting cells with
+``cones.common_refinement`` and finding walls with ``fans.group_walls``.
+The number δ^N(F·T)/N! for deg F = dim T is computed by a different and
+more robust route: F is expanded over a simplicial fan refining its cells
+and T into products of Courant hat functions (the piecewise linear
+barycentric coordinates of the rays), and each product of hats is folded
+combinatorially over that fan by ``_FanEngine``, a hat being a barycentric
+coordinate on every simplex.  On products of PL functions the number agrees
+with the iterated PL corner locus of ``plfunc``, which is what pins the
+semantics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .cones import Cone, chamber_complex, common_refinement, overlaps
 from .fans import NotBalanced, WeightedFan, group_walls, wall_lift
-from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, solve, vadd, vscale
-from .plfunc import PLFunction, corner_locus
+from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, vadd, vscale
+from .plfunc import PLFunction
 
 
 class NotContinuous(ValueError):
@@ -55,6 +56,14 @@ class Poly:
                 e[i] = 1
                 terms[tuple(e)] = c
         return cls(n, terms)
+
+    @classmethod
+    def linear_product(cls, nvars: int, covectors) -> "Poly":
+        """The product of the linear forms given by the covectors."""
+        p = cls.const(nvars, 1)
+        for l in covectors:
+            p = p * cls.linear(l)
+        return p
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -206,10 +215,7 @@ def pp_from_pl_product(ms: Sequence[PLFunction]) -> PPFunction:
     n = ms[0].ambient
     cells = []
     for cone, l0, ls in common_refinement(ms[0].cells, [m.cells for m in ms[1:]], n):
-        p = Poly.const(n, 1)
-        for l in [l0] + ls:
-            p = p * Poly.linear(l)
-        cells.append((cone, p))
+        cells.append((cone, Poly.linear_product(n, [l0, *ls])))
     return PPFunction(n, len(ms), cells)
 
 
@@ -262,86 +268,62 @@ def pp_corner_locus(f: PPFunction, t_fan: WeightedFan, check: bool = True) -> We
 
 
 def simplicial_refinement(cones: Sequence[Cone], ambient: int) -> list:
-    """Complete simplicial fan refining the given complete set of cones.
+    """Complete simplicial fan refining every given cone.
 
-    The arrangement of all facet hyperplanes (plus the coordinate hyperplanes,
-    which make every chamber pointed) is triangulated by pulling rays in a
-    global lexicographic order, so neighbouring chambers triangulate their
-    shared faces identically.  Returns full-dimensional simplices as sorted
-    ray tuples.
+    The arrangement of all facet and span hyperplanes of the cones (plus the
+    coordinate hyperplanes, which make every chamber pointed) is cut into
+    chambers and triangulated by ``triangulate_complete_fan``.  Each cone is
+    a union of faces of the arrangement, so lower-dimensional cones are
+    refined too.  Returns full-dimensional simplices as sorted ray tuples.
     """
-    normals = set()
-    for i in range(ambient):
-        e = [0] * ambient
-        e[i] = 1
-        normals.add(tuple(e))
+    normals = {tuple(1 if j == i else 0 for j in range(ambient))
+               for i in range(ambient)}
     for cone in cones:
-        for a in cone.ineqs:
-            normals.add(sign_normalized(a))
+        normals.update(sign_normalized(a) for a in [*cone.ineqs, *cone.eqs])
     chambers = chamber_complex(sorted(normals), ambient)
-    memo = {}
-    out = []
-    for ch in chambers:
-        if ch.lin:
-            raise AssertionError("chamber unexpectedly has lineality")
-        out.extend(_pull_triangulate(ch.cone(ambient), memo))
-    return out
+    return triangulate_complete_fan([ch.cone(ambient) for ch in chambers], ambient)
 
 
-def _pull_triangulate(cone: Cone, memo: dict) -> list:
-    key = cone.key()
-    if key in memo:
-        return memo[key]
+def _pull_triangulate(cone: Cone) -> list:
     rays = cone.rays
     if len(rays) == cone.dim:
-        memo[key] = [tuple(sorted(rays))]
-        return memo[key]
+        return [tuple(sorted(rays))]
     r0 = min(rays)
-    out = []
-    for facet in cone.facets():
-        if r0 in facet.rays:
-            continue
-        for simplex in _pull_triangulate(facet, memo):
-            out.append(tuple(sorted(simplex + (r0,))))
-    memo[key] = out
-    return out
+    return [tuple(sorted(simplex + (r0,))) for facet in cone.facets()
+            if r0 not in facet.rays for simplex in _pull_triangulate(facet)]
+
+
+def _barycentric(simplex: tuple) -> list:
+    """Covector rows of the hats of a simplex's rays, in the simplex's order."""
+    mat, den = inverse_rows(list(zip(*simplex)))
+    return [tuple(Fraction(x, den) for x in row) for row in mat]
 
 
 def courant_hats(simplices: Sequence, ambient: int) -> dict:
     """Barycentric hat function of every ray of a complete simplicial fan."""
     rays = sorted({r for s in simplices for r in s})
-    cones = [Cone(ambient, rays=list(s), _trusted=True) for s in simplices]
-    hats = {}
-    for r in rays:
-        cells = []
-        for s, cone in zip(simplices, cones):
-            if r in s:
-                idx = s.index(r)
-                rhs = tuple(1 if i == idx else 0 for i in range(len(s)))
-                cov = solve([list(x) for x in s], rhs)
-                if cov is None:
-                    raise AssertionError("degenerate simplex")
-                cells.append((cone, cov))
-            else:
-                cells.append((cone, (0,) * ambient))
-        hats[r] = PLFunction(ambient, cells)
-    return hats
+    cells = [(s, Cone(ambient, rays=list(s), _trusted=True), _barycentric(s))
+             for s in simplices]
+    zero = (0,) * ambient
+    return {r: PLFunction(ambient, [(cone, bary[s.index(r)] if r in s else zero)
+                                    for s, cone, bary in cells])
+            for r in rays}
 
 
 def triangulate_complete_fan(cells: Sequence[Cone], ambient: int) -> list:
     """Pull-triangulation of a complete face-to-face fan with pointed cones.
 
-    Shared faces are triangulated identically because the recursion picks the
-    lexicographically smallest ray of each cone and is memoized per face.
-    Returns full-dimensional simplices as sorted ray tuples.
+    Shared faces are triangulated identically because the recursion always
+    pulls the lexicographically smallest ray of the current cone, a choice
+    that depends on the face alone.  Returns full-dimensional simplices as
+    sorted ray tuples.
     """
-    memo = {}
     seen = set()
     out = []
     for cone in cells:
         if cone.lineality:
             raise ValueError("cells must be pointed")
-        for s in _pull_triangulate(cone, memo):
+        for s in _pull_triangulate(cone):
             if s not in seen:
                 seen.add(s)
                 out.append(s)
@@ -422,8 +404,18 @@ class _FanEngine:
             for r in s:
                 self._ray_index.setdefault(r, set()).add(i)
 
-    def initial_state(self, weight) -> dict:
-        return {frozenset(s): weight for s in self.simplices}
+    def initial_state(self, t_fan: WeightedFan) -> dict:
+        """T as a cycle on the fan: its weight on every dim-T face.
+
+        The fan refines T, so the ray sum of a face lies inside a cone of T
+        exactly when the whole face does.
+        """
+        state = {}
+        for s in self.simplices:
+            for face in map(frozenset, combinations(s, t_fan.dim)):
+                if face not in state:
+                    state[face] = t_fan.weight_of_point(tuple(map(sum, zip(*face))))
+        return {face: w for face, w in state.items() if w != 0}
 
     def _home(self, face: frozenset) -> tuple:
         if face not in self._face_home:
@@ -442,8 +434,7 @@ class _FanEngine:
             return self._zero
         s = self._home(face)
         if s not in self._bary:
-            mat, den = inverse_rows(list(zip(*s)))
-            self._bary[s] = [tuple(Fraction(x, den) for x in row) for row in mat]
+            self._bary[s] = _barycentric(s)
         return self._bary[s][s.index(r)]
 
     def lift(self, wall: frozenset, apex) -> tuple:
@@ -478,69 +469,45 @@ class _FanEngine:
         return out
 
 
-def _is_full_space_multiple(t_fan: WeightedFan):
-    """The weight when the fan is w·ℝⁿ, else None."""
-    if len(t_fan.cones) != 1:
-        return None
-    cone, w = t_fan.cones[0]
-    if len(cone.lineality) == t_fan.ambient:
-        return w
-    return None
-
-
 def pp_iterated_number(f: PPFunction, t_fan: WeightedFan):
     """The rational number δ^N(F·T)/N! for N = deg F = dim T.
 
-    Expands F into hat-function products and folds each product through the
-    corner locus, sharing work across common prefixes.  Inconsistent piece
-    data is detected during the expansion and raises NotContinuous.  When T
-    is a multiple of the whole space and every cell of F is pointed, the
-    folds run on the combinatorial fast path; otherwise they fall back to
-    generic cone arithmetic.
+    Expands F into hat-function products over one simplicial fan and folds
+    each product combinatorially on that fan with ``_FanEngine``, sharing
+    work across common prefixes.  When T is a multiple of the whole space
+    and every cell of F is pointed, the fan is the pull triangulation of the
+    cells; otherwise it is ``simplicial_refinement`` of the cells together
+    with the cones of T, so T may be any weighted fan of dimension deg F.
+    Inconsistent piece data is detected during the expansion and raises
+    NotContinuous.
     """
     if f.degree != t_fan.dim:
         raise ValueError("degree of F must equal the dimension of the fan")
+    n = f.ambient
     if f.degree == 0:
-        c = f.cells[0][1].eval((0,) * f.ambient) if f.cells else 0
-        return c * t_fan.weight_of_point((0,) * f.ambient)
-    origin = (0,) * f.ambient
-    full_weight = _is_full_space_multiple(t_fan)
-    if full_weight is not None and all(not c.lineality for c, _ in f.cells):
-        simplices = triangulate_complete_fan([c for c, _ in f.cells], f.ambient)
-        coeffs = _multiset_coefficients(f, simplices)
-        engine = _FanEngine(simplices, f.ambient)
-        states = {(): engine.initial_state(full_weight)}
-
-        def state_for(prefix: tuple) -> dict:
-            if prefix not in states:
-                parent = state_for(prefix[:-1])
-                states[prefix] = engine.fold(parent, prefix[-1]) if parent else {}
-            return states[prefix]
-
-        total = 0
-        for key, c in coeffs.items():
-            if c == 0:
-                continue
-            total += c * state_for(key).get(frozenset(), 0)
+        c = f.cells[0][1].eval((0,) * n) if f.cells else 0
+        return c * t_fan.weight_of_point((0,) * n)
+    cells = [c for c, _ in f.cells]
+    if all(len(c.lineality) == n for c, _ in t_fan.cones) and \
+            not any(c.lineality for c in cells):
+        simplices = triangulate_complete_fan(cells, n)
     else:
-        coeffs, hats = courant_decomposition(f)
-        prefix_fans = {(): t_fan}
+        simplices = simplicial_refinement(cells + [c for c, _ in t_fan.cones], n)
+    coeffs = _multiset_coefficients(f, simplices)
+    engine = _FanEngine(simplices, n)
+    states = {(): engine.initial_state(t_fan)}
 
-        def fan_for(prefix: tuple) -> WeightedFan:
-            if prefix not in prefix_fans:
-                parent = fan_for(prefix[:-1])
-                if parent.is_zero():
-                    out = parent
-                else:
-                    out = corner_locus(hats[prefix[-1]], parent, check=False)
-                prefix_fans[prefix] = out
-            return prefix_fans[prefix]
+    def state_for(prefix: tuple) -> dict:
+        if prefix not in states:
+            parent = state_for(prefix[:-1])
+            states[prefix] = engine.fold(parent, prefix[-1]) if parent else {}
+        return states[prefix]
 
-        total = 0
-        for key, c in coeffs.items():
-            if c == 0:
-                continue
-            total += c * fan_for(key).weight_of_point(origin)
+    total = 0
+    for key, c in coeffs.items():
+        if c == 0:
+            continue
+        total += c * state_for(key).get(frozenset(), 0)
     if isinstance(total, Fraction) and total.denominator == 1:
         total = total.numerator
     return total

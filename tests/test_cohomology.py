@@ -1,8 +1,12 @@
 """Cycle pairings, positivity reports, and incident line-family types."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tropeci.cohomology import (
     AFReport,
@@ -11,6 +15,7 @@ from tropeci.cohomology import (
     MissingWitness,
     NotInteresting,
     ProjectiveLine,
+    _congruence_signature,
     af_check,
     classify_line_pair,
     cycle_evaluate,
@@ -188,6 +193,33 @@ def test_random_polygon_tables_have_one_positive_direction():
         assert n_minus + n_zero == k - 1
 
 
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def zero_diagonal_symmetric(draw):
+    n = draw(st.integers(2, 5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    return m
+
+
+@given(zero_diagonal_symmetric())
+def test_congruence_signature_obeys_descartes_rule(m):
+    # every root of a symmetric matrix's characteristic polynomial is real, so
+    # Descartes' rule counts the positive and the negative eigenvalues exactly
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()
+    deg = len(coeffs) - 1
+    zeros = next(i for i, c in enumerate(reversed(coeffs)) if c != 0)
+    negated = [c * (-1) ** (deg - k) for k, c in enumerate(coeffs)]
+    assert _congruence_signature(m) == \
+        (_sign_changes(coeffs), _sign_changes(negated), zeros)
+
+
 def test_gram_needs_a_two_dimensional_fan():
     with pytest.raises(ValueError):
         gram_signature(unit_fan(3), [pl_from_polytope(SQUARE)])
@@ -360,6 +392,12 @@ def test_lines_canonicalize_across_presentations():
     assert a == b
     assert a.plucker() == b.plucker()
     assert hash(a) == hash(b)
+
+
+def test_float_and_fraction_points_give_the_same_line():
+    half = ProjectiveLine((Fraction(1, 2), 0, 0), (0, 1, 0))
+    assert ProjectiveLine((0.5, 0, 0), (0, 1, 0)) == half
+    assert half != ProjectiveLine((0, 0, 0), (0, 1, 0))
 
 
 def test_line_membership_homogenizes_affine_points():

@@ -110,3 +110,42 @@ def test_the_private_name_check_sees_a_leftover():
 def test_every_private_helper_is_referenced_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced_private(sources) == []
+
+
+def _slot_entries(tree) -> list:
+    """(class name, slot name, line) for every ``__slots__`` entry."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                out += [(cls.name, slot, node.lineno)
+                        for slot in ast.literal_eval(node.value)]
+    return out
+
+
+def _attributes_read(trees) -> set:
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_slots(package: dict, readers: dict) -> list:
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    read = _attributes_read([*trees.values(), *map(ast.parse, readers.values())])
+    return sorted(f"{name} line {line}: {cls}.{slot}" for name, tree in trees.items()
+                  for cls, slot, line in _slot_entries(tree) if slot not in read)
+
+
+def test_the_slot_check_sees_a_field_that_is_only_written():
+    package = {"a.py": "class A:\n    __slots__ = ('x', 'y')\n\n"
+                       "    def __init__(self):\n        self.x = self.y = 0\n"}
+    assert _unread_slots(package, {"t.py": "print(A().x)\n"}) == ["a.py line 2: A.y"]
+
+
+def test_every_slot_is_read_somewhere():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {str(p): p.read_text()
+               for d in ("tests", "bench") for p in sorted((ROOT / d).glob("*.py"))}
+    assert _unread_slots(package, readers) == []

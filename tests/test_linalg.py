@@ -16,6 +16,7 @@ from tropeci.linalg import (
     kernel_basis,
     primitive,
     rank,
+    rational_primitive,
     saturation_basis,
     smith_with_basis,
     solve,
@@ -30,6 +31,14 @@ def test_primitive():
     assert primitive((0, -5)) == (0, -1)
     with pytest.raises(ZeroVector):
         primitive((0, 0))
+
+
+def test_rational_primitive_reads_every_entry_exactly():
+    assert rational_primitive((Fraction(1, 2), 1, 0)) == (1, 2, 0)
+    assert rational_primitive((0.5, 1, 0)) == (1, 2, 0)
+    assert rational_primitive((0.25, -0.5)) == (1, -2)
+    with pytest.raises(ZeroVector):
+        rational_primitive((0.0, 0))
 
 
 def test_det_and_rank():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropeci.cones import Cone, full_space
 from tropeci.fans import WeightedFan
@@ -271,3 +273,48 @@ def test_engine_ignores_values_off_the_first_locus():
     assert modded == base
     f = pp_from_pl_product([m1, m2mod])
     assert pp_iterated_number(f, unit_fan(2)) == base
+
+
+# -- the engine on fans other than w·ℝⁿ and on cells with lineality ------------
+
+CASES = settings(max_examples=30)
+cases = st.tuples(st.sampled_from([2, 3]), st.sampled_from([1, 2]),
+                  st.integers(0, 2**32))
+
+
+def _support_functions(rng: Random, ambient: int, count: int) -> list:
+    return [pl_from_polytope(random_lattice_polytope(
+        rng, ambient, ambient + rng.randint(1, 2), box=2)) for _ in range(count)]
+
+
+@CASES
+@given(cases)
+def test_engine_folds_a_fan_that_is_not_the_whole_space(case):
+    ambient, weight, seed = case
+    rng = Random(seed)
+    j = rng.randint(1, ambient - 1)
+    ms = _support_functions(rng, ambient, ambient)
+    whole = WeightedFan(ambient, [(full_space(ambient), weight)])
+    t_fan = iterated_corner_locus(ms[:j], whole)
+    expected = iterated_corner_locus(ms[j:], t_fan).weight_of_point((0,) * ambient)
+    assert pp_iterated_number(pp_from_pl_product(ms[j:]), t_fan) == expected
+
+
+@CASES
+@given(cases)
+def test_engine_folds_cells_with_lineality(case):
+    # the last factors all lie in the hyperplane x_n = 0, so every cell of
+    # their product contains the line through e_n
+    ambient, weight, seed = case
+    rng = Random(seed)
+    j = rng.randint(0, ambient - 1)
+    full = [random_lattice_polytope(rng, ambient, ambient + 1, box=2)
+            for _ in range(j)]
+    flat = [LatticePolytope([tuple(rng.randint(0, 2) for _ in range(ambient - 1)) + (0,)
+                             for _ in range(rng.randint(1, ambient + 1))])
+            for _ in range(ambient - j)]
+    whole = WeightedFan(ambient, [(full_space(ambient), weight)])
+    t_fan = iterated_corner_locus([pl_from_polytope(p) for p in full], whole)
+    f = pp_from_pl_product([pl_from_polytope(p) for p in flat])
+    assert all(c.lineality for c, _ in f.cells)
+    assert pp_iterated_number(f, t_fan) == weight * mixed_volume_ie(full + flat)
