@@ -9,9 +9,12 @@ The module also provides the incremental hyperplane-arrangement builder used
 by the threshold pipeline: it splits cells hyperplane by hyperplane while
 maintaining tightness bitmasks, so no from-scratch conversion is ever needed
 inside that hot path.  The conversion and the arrangement builder cut with
-one double-description step, :func:`_cut`.  Pairwise work on cell lists also
-lives here: :func:`overlaps` lists the pairs of cones that meet off the
-origin, and :func:`common_refinement` cuts tagged cones by cell lists.
+one double-description step, :func:`_cut`; beside it, :func:`_cut_cone`
+cuts a known pointed cone by further halfspaces through its extreme rays,
+which is how threshold regions and refinement pieces are built from their
+parents.  Pairwise work on cell lists also lives here: :func:`overlaps`
+lists the pairs of cones that meet off the origin, and
+:func:`common_refinement` cuts tagged cones by cell lists.
 """
 
 from __future__ import annotations
@@ -98,17 +101,7 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
 
     for step in range(m, len(order)):
         a = rows[order[step]]
-        bit = 1 << step
-        vals = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
-            continue
-        if all(v <= 0 for v in vals):
-            # opposite member of an equation pair already cut everything
-            keep = [i for i, v in enumerate(vals) if v == 0]
-            rays, masks = [rays[i] for i in keep], [masks[i] | bit for i in keep]
-            continue
-        (rays, masks), _ = _cut(rays, masks, vals, bit)
+        rays, masks = _halfspace(rays, masks, [dot(a, r) for r in rays], 1 << step)
 
     out = []
     for r in rays:
@@ -141,6 +134,21 @@ def _cut(rays, masks, vals, bit):
              [masks[i] for i in side] + list(shared.values())) for side in (pos, neg)]
 
 
+def _halfspace(rays, masks, vals, bit):
+    """Rays and masks of a pointed cone cut by a·x ≥ 0, given ``vals`` = a·r.
+
+    Rays with a·r = 0 gain ``bit``.  A cone on the side a·x ≤ 0 keeps only
+    those rays (the face a·x = 0, e.g. after the first member of an equation
+    pair); a cone with values of both signs is split by :func:`_cut`.
+    """
+    if all(v >= 0 for v in vals):
+        return rays, [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
+    if all(v <= 0 for v in vals):
+        keep = [i for i, v in enumerate(vals) if v == 0]
+        return [rays[i] for i in keep], [masks[i] | bit for i in keep]
+    return _cut(rays, masks, vals, bit)[0]
+
+
 def _adjacent(z, i, j, masks_all) -> bool:
     """Combinatorial adjacency: no third ray's tight set contains z."""
     for t, mk in enumerate(masks_all):
@@ -152,17 +160,22 @@ def _adjacent(z, i, j, masks_all) -> bool:
 
 
 class Cone:
-    """Immutable rational cone; dual representations computed on demand."""
+    """Immutable rational cone; dual representations computed on demand.
+
+    With ``_trusted``, ``rays`` and ``lineality`` are taken as the exact
+    V-side, and ``ineqs`` and ``eqs``, when given too, are kept as raw
+    constraints of the same cone for the cheap tests.
+    """
 
     __slots__ = ("ambient", "_rays", "_lin", "_ineqs", "_eqs",
-                 "_raw_ineqs", "_raw_eqs", "_dim", "_span", "_key")
+                 "_raw_ineqs", "_raw_eqs", "_dim", "_span", "_key", "_masks")
 
     def __init__(self, ambient: int, rays=None, lineality=None, ineqs=None, eqs=None,
                  _trusted: bool = False):
         self.ambient = ambient
         self._rays = self._lin = self._ineqs = self._eqs = None
         self._raw_ineqs = self._raw_eqs = None
-        self._dim = self._span = self._key = None
+        self._dim = self._span = self._key = self._masks = None
         if rays is None and ineqs is None:
             raise ValueError("need generators or inequalities")
         if rays is not None:
@@ -175,7 +188,7 @@ class Cone:
                 hi, he = dual_description(rays, lineality, ambient)
                 self._ineqs, self._eqs = hi, he
                 self._rays, self._lin = dual_description(hi, he, ambient)
-        else:
+        if ineqs is not None and (rays is None or _trusted):
             # raw constraints stay available for cheap containment tests; the
             # public H-rep is always the irredundant one derived from the rays
             self._raw_ineqs = sorted(_dedupe(tuple(a) for a in ineqs if not is_zero(a)))
@@ -228,12 +241,23 @@ class Cone:
             self._key = (tuple(self.rays), canonical_span_rows(self.lineality))
         return self._key
 
-    def contains(self, x) -> bool:
+    def _constraints(self) -> tuple:
+        """(inequalities, equations): the raw ones when kept, else the H-rep."""
         if self._raw_ineqs is not None:
-            return all(dot(a, x) >= 0 for a in self._raw_ineqs) and \
-                all(dot(e, x) == 0 for e in self._raw_eqs)
-        return all(dot(a, x) >= 0 for a in self.ineqs) and \
-            all(dot(e, x) == 0 for e in self.eqs)
+            return self._raw_ineqs, self._raw_eqs
+        return self.ineqs, self.eqs
+
+    def _tight_masks(self) -> list:
+        """Per extreme ray, the bitmask of ``_constraints`` inequalities tight on it."""
+        if self._masks is None:
+            ineqs = self._constraints()[0]
+            self._masks = [sum(1 << i for i, a in enumerate(ineqs) if dot(a, r) == 0)
+                           for r in self.rays]
+        return self._masks
+
+    def contains(self, x) -> bool:
+        ineqs, eqs = self._constraints()
+        return all(dot(a, x) >= 0 for a in ineqs) and all(dot(e, x) == 0 for e in eqs)
 
     def relint_point(self) -> tuple:
         """Sum of the extreme rays (the origin when there are none)."""
@@ -271,10 +295,7 @@ def may_meet_full_dim(sigma: Cone, cell: Cone) -> bool:
     running any conversion.  True is inconclusive.
     """
     rays, lin = sigma.rays, sigma.lineality
-    if cell._raw_ineqs is not None:
-        ineqs, eqs = cell._raw_ineqs, cell._raw_eqs
-    else:
-        ineqs, eqs = cell.ineqs, cell.eqs
+    ineqs, eqs = cell._constraints()
     for e in eqs:
         if any(dot(e, g) != 0 for g in rays) or any(dot(e, g) != 0 for g in lin):
             return False
@@ -294,13 +315,54 @@ def may_meet_full_dim(sigma: Cone, cell: Cone) -> bool:
     return True
 
 
+def _cut_cone(cone: Cone, ineqs: Sequence, eqs: Sequence, min_dim: int):
+    """cone ∩ {a·x ≥ 0 ∀a ∈ ineqs, e·x = 0 ∀e ∈ eqs}; None below ``min_dim``.
+
+    A pointed cone is cut through its extreme rays, one halfspace at a time
+    (:func:`_halfspace`), each equation as two opposite halfspaces; the
+    tightness masks start over the cone's own constraint list (raw when kept,
+    else its H-rep).  Only a cut with no positive value can lower the
+    dimension, so the rank is taken only then.  The result keeps the exact
+    rays and the combined constraints, so it needs no conversion.  A cone
+    with lineality is intersected lazily instead: the cut would give rays
+    modulo the lineality other than the representatives :meth:`Cone.key`
+    expects.
+    """
+    own_ineqs, own_eqs = cone._constraints()
+    ineqs, eqs = [tuple(a) for a in ineqs], [tuple(e) for e in eqs]
+    if cone.lineality:
+        out = Cone(cone.ambient, ineqs=own_ineqs + ineqs, eqs=own_eqs + eqs)
+        return out if out.dim >= min_dim else None
+    rays, masks, dim = cone.rays, cone._tight_masks(), cone.dim
+    if dim < min_dim:
+        return None
+    bit = 1 << len(own_ineqs)
+    for a in ineqs + eqs + [vneg(e) for e in eqs]:
+        vals = [dot(a, r) for r in rays]
+        drops = any(v < 0 for v in vals) and not any(v > 0 for v in vals)
+        rays, masks = _halfspace(rays, masks, vals, bit)
+        bit <<= 1
+        if drops:
+            if dim <= min_dim:
+                return None
+            dim = rank(rays)
+            if dim < min_dim:
+                return None
+    return Cone(cone.ambient, rays=rays, lineality=[], ineqs=own_ineqs + ineqs,
+                eqs=own_eqs + eqs, _trusted=True)
+
+
 def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
     """Cut tagged cones by one cell list after another.
 
     ``seed`` holds (cone, tag) pairs and each cell list (cone, covector)
-    pairs.  Every cut intersects each current piece with each cell in turn,
-    keeps the intersections of dimension at least ``dim`` and drops repeats
-    of a face key already seen in that cut.  Returns (piece, tag, covectors)
+    pairs.  Every cut intersects each current piece with each cell in turn
+    (:func:`_cut_cone` on the cell's constraints), keeps the intersections
+    of dimension at least ``dim`` and drops repeats of a face key already
+    seen in that cut.  A pointed piece is cut through its rays; a piece with
+    lineality (the full space, a half-space, a fan cone that is not pointed)
+    is intersected lazily, because cutting its rays would not give the ray
+    representatives its key is built from.  Returns (piece, tag, covectors)
     triples, one covector per cell list, in the order the cuts produce them.
     The seed itself is neither cut nor deduplicated.
     """
@@ -311,8 +373,8 @@ def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
             for cell, l in cells:
                 if not may_meet_full_dim(cone, cell):
                     continue
-                piece = cone.intersect(cell)
-                if piece.dim < dim:
+                piece = _cut_cone(cone, *cell._constraints(), dim)
+                if piece is None:
                     continue
                 k = piece.key()
                 if k in seen:

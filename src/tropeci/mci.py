@@ -3,10 +3,12 @@
 The central algorithm turns a matroid on a finite lattice multiset into a
 nested chain of weighted fans.  It walks the prefixes of the matroid greedy
 selection depth first, keeping a prefix only while the cone of covectors
-that select it is full dimensional (``_prefix_regions``); on the region of a
-length-k prefix the k-th threshold function is linear, so the regions of
-each length give that piecewise-linear function, which is folded through the
-corner locus.  The weight of the final zero-dimensional fan is the
+that select it is full dimensional (``_prefix_regions``).  A child region
+is its parent region cut by the new halfspaces p_a − p_b ≥ 0 through the
+parent's extreme rays, so no region is converted from scratch.  On the
+region of a length-k prefix the k-th threshold function is linear, so the
+regions of each length give that piecewise-linear function, which is folded
+through the corner locus.  The weight of the final zero-dimensional fan is the
 generalized BKK number.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .cones import Cone, full_space
+from .cones import _cut_cone, full_space
 from .fans import WeightedFan
 from .linalg import det, dot, rank as mat_rank, vsub
 from .plfunc import PLFunction, corner_locus
@@ -35,6 +37,14 @@ class NotZeroDimensional(ValueError):
 
 class NotABasis(ValueError):
     pass
+
+
+class RankTableTooLarge(ValueError):
+    """A rank table on more elements than its axioms can be checked for."""
+
+
+# the axiom check of a rank table visits every subset and pair of elements
+MAX_TABLE_GROUND = 12
 
 
 class SupportMultiset:
@@ -103,31 +113,31 @@ class Matroid:
         return m
 
     def _validate_table(self):
+        """Check every matroid axiom on the whole table (``MAX_TABLE_GROUND``)."""
         tab, ground = self._table, list(self.ground)
+        if len(ground) > MAX_TABLE_GROUND:
+            raise RankTableTooLarge(
+                f"rank tables are checked on at most {MAX_TABLE_GROUND} elements, "
+                f"got {len(ground)}; give the matroid by a column matrix instead")
         if frozenset() not in tab or tab[frozenset()] != 0:
             raise ValueError("rank of the empty set must be 0")
-        if len(ground) <= 12:
-            subsets = [frozenset(s) for r in range(len(ground) + 1)
-                       for s in combinations(ground, r)]
-            for s in subsets:
-                if s not in tab:
-                    raise ValueError(f"rank table misses {sorted(s)}")
-            for s in subsets:
-                for e in ground:
-                    if e in s:
-                        continue
-                    step = tab[s | {e}] - tab[s]
-                    if step not in (0, 1):
-                        raise ValueError("rank must grow by 0 or 1")
-                    for f in ground:
-                        if f == e or f in s:
-                            continue
-                        if tab[s | {e}] + tab[s | {f}] < tab[s | {e, f}] + tab[s]:
-                            raise ValueError("rank table is not submodular")
-        else:
+        subsets = [frozenset(s) for r in range(len(ground) + 1)
+                   for s in combinations(ground, r)]
+        for s in subsets:
+            if s not in tab:
+                raise ValueError(f"rank table misses {sorted(s)}")
+        for s in subsets:
             for e in ground:
-                if tab.get(frozenset([e]), 0) not in (0, 1):
-                    raise ValueError("singleton rank out of range")
+                if e in s:
+                    continue
+                step = tab[s | {e}] - tab[s]
+                if step not in (0, 1):
+                    raise ValueError("rank must grow by 0 or 1")
+                for f in ground:
+                    if f == e or f in s:
+                        continue
+                    if tab[s | {e}] + tab[s | {f}] < tab[s | {e, f}] + tab[s]:
+                        raise ValueError("rank table is not submodular")
 
     def rank(self, subset: Iterable) -> int:
         key = frozenset(subset)
@@ -267,35 +277,31 @@ def _prefix_regions(mci: MCI) -> dict:
 
     Depth-first extension: a prefix is kept when its region is full
     dimensional, and only kept prefixes are extended (regions shrink along a
-    prefix, so the pruning is exact).  The union of the kept regions of each
-    length covers covector space, and ids sharing a point lead to identical
-    regions, so nothing else is ever needed.
+    prefix, so the pruning is exact).  The region of prefix + (a,) is the
+    region of the prefix cut by p_a − p_b ≥ 0 for the other eligible b; the
+    cut goes through the parent's extreme rays and stops as soon as one
+    halfspace leaves no ray on its positive side.  The union of the kept
+    regions of each length covers covector space, and ids sharing a point
+    lead to identical regions, so nothing else is ever needed.
     """
     n = mci.ambient
     ids = sorted(mci.support.ids())
-    regions = {(): (full_space(n), [])}
+    regions = {(): full_space(n)}
     stack = [()]
     while stack:
         prefix = stack.pop()
         if len(prefix) == mci.codim:
             continue
-        _, base = regions[prefix]
         chosen = list(prefix)
         r = len(prefix)
         eligible = [a for a in ids
                     if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
         for a in eligible:
             p = mci.support.point(a)
-            ineqs = list(base)
-            for b in eligible:
-                if b == a:
-                    continue
-                d = vsub(p, mci.support.point(b))
-                if any(d):
-                    ineqs.append(d)
-            cone = Cone(n, ineqs=ineqs) if ineqs else full_space(n)
-            if cone.dim == n:
-                regions[prefix + (a,)] = (cone, ineqs)
+            diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
+            cone = _cut_cone(regions[prefix], diffs, [], n)
+            if cone is not None:
+                regions[prefix + (a,)] = cone
                 stack.append(prefix + (a,))
     return regions
 
@@ -316,7 +322,7 @@ def tci_from_mci(mci: MCI) -> TCI:
     for k in range(1, mci.codim + 1):
         seen = {}
         for prefix in sorted(p for p in regions if len(p) == k):
-            region, _ = regions[prefix]
+            region = regions[prefix]
             covector = mci.support.point(prefix[-1])
             seen[(region.key(), covector)] = (region, covector)
         m_k = PLFunction(n, sorted(seen.values(), key=lambda cl: cl[0].key()))

@@ -4,18 +4,24 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tropeci.cones import Cone
 from tropeci.fans import WeightedFan
-from tropeci.linalg import dot
+from tropeci.linalg import dot, vsub
 from tropeci.mci import (
+    MAX_TABLE_GROUND,
     MCI,
     Matroid,
     NotABasis,
     NotZeroDimensional,
     RankDeficient,
+    RankTableTooLarge,
     SupportMultiset,
     TCI,
     UnknownElement,
+    _prefix_regions,
     bkk_number,
     chirotope,
     classical_mci,
@@ -100,6 +106,17 @@ def test_rank_table_roundtrip_and_validation():
 
     with pytest.raises(ValueError):
         Matroid.from_rank_table(ground, {frozenset(): 1})
+
+
+def test_rank_table_above_the_limit_is_refused_by_name():
+    ground = list(range(MAX_TABLE_GROUND + 1))
+    table = {frozenset(s): len(s) for r in range(3) for s in combinations(ground, r)}
+    with pytest.raises(RankTableTooLarge, match=f"at most {MAX_TABLE_GROUND}"):
+        Matroid.from_rank_table(ground, table)
+    small = ground[:MAX_TABLE_GROUND]
+    table = {frozenset(s): min(len(s), 1) for r in range(len(small) + 1)
+             for s in combinations(small, r)}
+    assert Matroid.from_rank_table(small, table).rank(small) == 1
 
 
 def test_truncation():
@@ -312,3 +329,51 @@ def test_bkk_nonnegative_on_random_matrix_mcis():
         done += 1
         mci = MCI(support, matroid, 2)
         assert bkk_number(tci_from_mci(mci)) >= 0
+
+
+# -- selection regions --------------------------------------------------------
+
+
+def prefix_regions_from_scratch(mci):
+    """Region keys of _prefix_regions, each region converted from all of its
+    inequalities (the walk before regions were cut from their parents)."""
+    n, point = mci.ambient, mci.support.point
+    ids = sorted(mci.support.ids())
+    regions, stack = {(): []}, [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == mci.codim:
+            continue
+        eligible = [a for a in ids if a not in prefix
+                    and mci.matroid.rank(list(prefix) + [a]) > len(prefix)]
+        for a in eligible:
+            diffs = [vsub(point(a), point(b)) for b in eligible if b != a]
+            ineqs = regions[prefix] + [d for d in diffs if any(d)]
+            if Cone(n, ineqs=ineqs).dim == n:
+                regions[prefix + (a,)] = ineqs
+                stack.append(prefix + (a,))
+    return [(p, Cone(n, ineqs=q).key()) for p, q in regions.items()]
+
+
+@st.composite
+def small_mcis(draw):
+    """A generic MCI (random points and columns) or a classical one."""
+    n = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(-1, 2)] * n)
+    if draw(st.booleans()):
+        blocks = [draw(st.lists(point, min_size=2, max_size=4, unique=True))
+                  for _ in range(n)]
+        return classical_mci(blocks)
+    pts = draw(st.lists(point, min_size=n + 1, max_size=n + 4))
+    cols = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in pts]
+    ids = [f"a{i}" for i in range(len(pts))]
+    matroid = Matroid.from_matrix(dict(zip(ids, cols)))
+    assume(matroid.rank(ids) == n)
+    return MCI(SupportMultiset(zip(ids, pts)), matroid, n)
+
+
+@settings(max_examples=30)
+@given(small_mcis())
+def test_prefix_regions_match_regions_converted_from_scratch(mci):
+    got = [(p, cone.key()) for p, cone in _prefix_regions(mci).items()]
+    assert got == prefix_regions_from_scratch(mci)
