@@ -3,17 +3,18 @@
 A cone is stored as extreme rays plus a lineality basis (V-side) and as
 irredundant inequalities plus equations (H-side); whichever side was not
 supplied is computed lazily by the double description method.  All data are
-integer vectors; every conversion is exact.
+integer vectors; every conversion is exact.  Rays of a cone with lineality
+are representatives modulo it; :meth:`Cone.key` reduces them, so equal cones
+have equal keys however they were built.
 
-The module also provides the incremental hyperplane-arrangement builder used
-by the threshold pipeline: it splits cells hyperplane by hyperplane while
-maintaining tightness bitmasks, so no from-scratch conversion is ever needed
-inside that hot path.  The conversion and the arrangement builder cut with
-one double-description step, :func:`_cut`; beside it, :func:`_cut_cone`
-cuts a known pointed cone by further halfspaces through its extreme rays,
-which is how threshold regions and refinement pieces are built from their
-parents.  Pairwise work on cell lists also lives here: :func:`overlaps`
-lists the pairs of cones that meet off the origin, and
+Every cut of a cone by a halfspace goes through one step, :func:`_sides`,
+which carries tightness bitmasks along.  It serves the conversion
+(:func:`dual_description`), the chambers of a central arrangement
+(:func:`chamber_complex`) and :func:`_cut_cone`, which cuts a known cone,
+pointed or not, through its rays and lineality; threshold regions,
+refinement pieces and overlaps are built that way from their parents, with
+no from-scratch conversion.  Pairwise work on cell lists also lives here:
+:func:`overlaps` lists the pairs of cones that meet off the origin, and
 :func:`common_refinement` cuts tagged cones by cell lists.
 """
 
@@ -100,8 +101,7 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
         masks.append(mask)
 
     for step in range(m, len(order)):
-        a = rows[order[step]]
-        rays, masks = _halfspace(rays, masks, [dot(a, r) for r in rays], 1 << step)
+        rays, masks, _, _ = _sides(rays, masks, [], rows[order[step]], 1 << step)[0]
 
     out = []
     for r in rays:
@@ -111,8 +111,9 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
 
 
 def _cut(rays, masks, vals, bit):
-    """One double-description step: split a pointed cone by a hyperplane a·x = 0.
+    """One double-description step: split a cone by a hyperplane a·x = 0.
 
+    The hyperplane contains the cone's lineality, so only the rays matter.
     ``vals`` holds a·r for the extreme rays ``rays`` (some of each sign),
     ``masks`` their tightness bitmasks and ``bit`` marks the new hyperplane.
     A positive and a negative ray that are adjacent (no third ray is tight
@@ -134,19 +135,43 @@ def _cut(rays, masks, vals, bit):
              [masks[i] for i in side] + list(shared.values())) for side in (pos, neg)]
 
 
-def _halfspace(rays, masks, vals, bit):
-    """Rays and masks of a pointed cone cut by a·x ≥ 0, given ``vals`` = a·r.
+def _sides(rays, masks, lin, a, bit):
+    """Both sides of a cone cut by the hyperplane a·x = 0: the one cut step.
 
-    Rays with a·r = 0 gain ``bit``.  A cone on the side a·x ≤ 0 keeps only
-    those rays (the face a·x = 0, e.g. after the first member of an equation
-    pair); a cone with values of both signs is split by :func:`_cut`.
+    The cone is given by its extreme rays (representatives modulo the
+    lineality basis ``lin``), their tightness bitmasks ``masks`` and ``lin``;
+    ``bit`` marks the new hyperplane.  Returns ``(rays, masks, lin, whole)``
+    for the sides a·x ≥ 0 and a·x ≤ 0, where ``whole`` says that the side
+    keeps the cone's dimension.  There are three cases:
+
+    * a·x is nonzero on the lineality: the lineality vector l with the
+      smallest nonzero |a·l| becomes the ray ±l of each side, tight at every
+      earlier bit, and the other lineality vectors and the rays move along
+      it into a·x = 0 (tight at ``bit``);
+    * a·r takes both signs on the rays: :func:`_cut`;
+    * otherwise one side is the whole cone and the other the face a·x = 0,
+      which is whole too when a·x vanishes on the cone.
     """
-    if all(v >= 0 for v in vals):
-        return rays, [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
-    if all(v <= 0 for v in vals):
-        keep = [i for i, v in enumerate(vals) if v == 0]
-        return [rays[i] for i in keep], [masks[i] | bit for i in keep]
-    return _cut(rays, masks, vals, bit)[0]
+    lin_vals = [dot(a, l) for l in lin]
+    if any(lin_vals):
+        k = min((i for i, v in enumerate(lin_vals) if v), key=lambda i: abs(lin_vals[i]))
+        l0, c = lin[k], lin_vals[k]
+        new_lin = [primitive(vsub(vscale(c, l), vscale(v, l0))) if v else l
+                   for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != k]
+        up = l0 if c > 0 else vneg(l0)
+        proj = [primitive(vsub(vscale(abs(c), r), vscale(v, up))) if v else r
+                for r, v in zip(rays, [dot(a, r) for r in rays])]
+        tight = [mk | bit for mk in masks]
+        return [(proj + [primitive(s)], tight + [bit - 1], new_lin, True)
+                for s in (up, vneg(up))]
+    vals = [dot(a, r) for r in rays]
+    if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+        return [(r, mk, lin, True) for r, mk in _cut(rays, masks, vals, bit)]
+    face = [i for i, v in enumerate(vals) if v == 0]
+    whole = (rays, [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)], lin, True)
+    flat = ([rays[i] for i in face], [masks[i] | bit for i in face], lin,
+            len(face) == len(rays))
+    return [whole, flat] if all(v >= 0 for v in vals) else [flat, whole]
 
 
 def _adjacent(z, i, j, masks_all) -> bool:
@@ -237,8 +262,23 @@ class Cone:
         return self._span
 
     def key(self):
+        """Canonical key: equal exactly for equal cones, however given.
+
+        It pairs the primitive reduced echelon basis of the lineality with
+        the sorted extreme rays, each reduced modulo that basis (a positive
+        multiple plus a lineality vector, zero in every pivot column, then
+        made primitive), so any representatives of the rays give one key.
+        """
         if self._key is None:
-            self._key = (tuple(self.rays), canonical_span_rows(self.lineality))
+            span = canonical_span_rows(self.lineality)
+            rays = []
+            for r in self.rays:
+                for row in span:
+                    pc = next(j for j, x in enumerate(row) if x)
+                    if r[pc]:
+                        r = vsub(vscale(row[pc], r), vscale(r[pc], row))
+                rays.append(primitive(r))
+            self._key = (tuple(sorted(set(rays))), span)
         return self._key
 
     def _constraints(self) -> tuple:
@@ -273,6 +313,8 @@ class Cone:
         return out
 
     def intersect(self, other: "Cone") -> "Cone":
+        """Intersection by a fresh conversion (the package cuts with
+        :func:`_cut_cone`; this is the reference it is tested against)."""
         return Cone(self.ambient, ineqs=list(self.ineqs) + list(other.ineqs),
                     eqs=list(self.eqs) + list(other.eqs))
 
@@ -318,37 +360,36 @@ def may_meet_full_dim(sigma: Cone, cell: Cone) -> bool:
 def _cut_cone(cone: Cone, ineqs: Sequence, eqs: Sequence, min_dim: int):
     """cone ∩ {a·x ≥ 0 ∀a ∈ ineqs, e·x = 0 ∀e ∈ eqs}; None below ``min_dim``.
 
-    A pointed cone is cut through its extreme rays, one halfspace at a time
-    (:func:`_halfspace`), each equation as two opposite halfspaces; the
-    tightness masks start over the cone's own constraint list (raw when kept,
-    else its H-rep).  Only a cut with no positive value can lower the
-    dimension, so the rank is taken only then.  The result keeps the exact
-    rays and the combined constraints, so it needs no conversion.  A cone
-    with lineality is intersected lazily instead: the cut would give rays
-    modulo the lineality other than the representatives :meth:`Cone.key`
-    expects.
+    Every cone, pointed or not, is cut through its extreme rays and
+    lineality, one halfspace at a time (the ≥ side of :func:`_sides`), each
+    equation as two opposite halfspaces; the tightness masks start over the
+    cone's own constraint list (raw when kept, else its H-rep).  Only a side
+    that is not whole can lower the dimension, so the rank is taken only
+    then.  The result keeps the rays and lineality of the cut, so it needs
+    no conversion, and of the combined inequalities only those tight on at
+    least dim − len(lineality) − 1 of its rays: every facet and every
+    implicit equation is among them, so the cone is the same.
     """
     own_ineqs, own_eqs = cone._constraints()
     ineqs, eqs = [tuple(a) for a in ineqs], [tuple(e) for e in eqs]
-    if cone.lineality:
-        out = Cone(cone.ambient, ineqs=own_ineqs + ineqs, eqs=own_eqs + eqs)
-        return out if out.dim >= min_dim else None
-    rays, masks, dim = cone.rays, cone._tight_masks(), cone.dim
+    dim = cone.dim
     if dim < min_dim:
         return None
+    rays, masks, lin = cone.rays, cone._tight_masks(), cone.lineality
     bit = 1 << len(own_ineqs)
     for a in ineqs + eqs + [vneg(e) for e in eqs]:
-        vals = [dot(a, r) for r in rays]
-        drops = any(v < 0 for v in vals) and not any(v > 0 for v in vals)
-        rays, masks = _halfspace(rays, masks, vals, bit)
+        rays, masks, lin, whole = _sides(rays, masks, lin, a, bit)[0]
         bit <<= 1
-        if drops:
+        if not whole:
             if dim <= min_dim:
                 return None
-            dim = rank(rays)
+            dim = rank(rays + lin)
             if dim < min_dim:
                 return None
-    return Cone(cone.ambient, rays=rays, lineality=[], ineqs=own_ineqs + ineqs,
+    need = dim - len(lin) - 1
+    kept = [a for i, a in enumerate(own_ineqs + ineqs)
+            if sum(mk >> i & 1 for mk in masks) >= need]
+    return Cone(cone.ambient, rays=rays, lineality=lin, ineqs=kept,
                 eqs=own_eqs + eqs, _trusted=True)
 
 
@@ -359,11 +400,8 @@ def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
     pairs.  Every cut intersects each current piece with each cell in turn
     (:func:`_cut_cone` on the cell's constraints), keeps the intersections
     of dimension at least ``dim`` and drops repeats of a face key already
-    seen in that cut.  A pointed piece is cut through its rays; a piece with
-    lineality (the full space, a half-space, a fan cone that is not pointed)
-    is intersected lazily, because cutting its rays would not give the ray
-    representatives its key is built from.  Returns (piece, tag, covectors)
-    triples, one covector per cell list, in the order the cuts produce them.
+    seen in that cut.  Returns (piece, tag, covectors) triples, one covector
+    per cell list, in the order the cuts produce them.
     The seed itself is neither cut nor deduplicated.
     """
     pieces = [(cone, tag, []) for cone, tag in seed]
@@ -389,14 +427,14 @@ def overlaps(cones: Sequence) -> Iterator:
     """(i, j, intersection) for each pair i < j of cones meeting off the origin."""
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            inter = cones[i].intersect(cones[j])
-            if inter.dim > 0:
+            inter = _cut_cone(cones[i], *cones[j]._constraints(), 1)
+            if inter is not None:
                 yield i, j, inter
 
 
 def full_space(ambient: int) -> Cone:
     basis = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    return Cone(ambient, rays=[], lineality=basis, _trusted=True)
+    return Cone(ambient, rays=[], lineality=basis, ineqs=[], _trusted=True)
 
 
 def origin_cone(ambient: int) -> Cone:
@@ -407,68 +445,26 @@ def origin_cone(ambient: int) -> Cone:
 # incremental hyperplane arrangement
 
 
-class Chamber:
-    """A full-dimensional cell of a central hyperplane arrangement.
+def chamber_complex(normals: Sequence, ambient: int) -> list[Cone]:
+    """All chambers of the central arrangement with the given normals.
 
-    ``masks[i]`` is a bitmask over the arrangement's hyperplanes marking where
-    ray ``i`` is tight; the masks double as the adjacency bookkeeping of the
-    incremental splitting, so cells never go through a full conversion.
+    The full space is cut by one normal after another (:func:`_sides`),
+    keeping the sides that stay full dimensional, so no chamber goes through
+    a conversion.  Each chamber is a trusted :class:`Cone` whose raw
+    inequalities are the normals, each signed to be nonnegative on it; zero
+    normals cut nothing.
     """
-
-    __slots__ = ("rays", "masks", "lin")
-
-    def __init__(self, rays, masks, lin):
-        self.rays = rays
-        self.masks = masks
-        self.lin = lin
-
-    def cone(self, ambient: int) -> Cone:
-        return Cone(ambient, rays=self.rays, lineality=self.lin, _trusted=True)
-
-
-def chamber_complex(normals: Sequence, ambient: int) -> list[Chamber]:
-    """All chambers of the central arrangement with the given normals."""
-    normals = [tuple(h) for h in normals]
     basis = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    cells = [Chamber([], [], basis)]
+    cells = [([], [], basis, [])]
     for step, h in enumerate(normals):
-        bit = 1 << step
-        nxt = []
-        for cell in cells:
-            lin_vals = [dot(h, l) for l in cell.lin]
-            if any(v != 0 for v in lin_vals):
-                nxt.extend(_split_lineality(cell, h, lin_vals, bit, step))
-                continue
-            vals = [dot(h, r) for r in cell.rays]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                cell.masks = [mk | bit if v == 0 else mk
-                              for mk, v in zip(cell.masks, vals)]
-                nxt.append(cell)
-                continue
-            nxt += [Chamber(r, mk, cell.lin)
-                    for r, mk in _cut(cell.rays, cell.masks, vals, bit)]
-        cells = nxt
-    return cells
-
-
-def _split_lineality(cell: Chamber, h, lin_vals, bit, step):
-    k = min((i for i, v in enumerate(lin_vals) if v != 0),
-            key=lambda i: abs(lin_vals[i]))
-    l0, c = cell.lin[k], lin_vals[k]
-    new_lin = []
-    for i, (l, v) in enumerate(zip(cell.lin, lin_vals)):
-        if i == k:
+        h = tuple(h)
+        if not any(h):
             continue
-        new_lin.append(primitive(vsub(vscale(c, l), vscale(v, l0))) if v else l)
-    prev_mask = bit - 1  # tight at every earlier hyperplane
-    proj, pmasks = [], []
-    for r, mk, v in zip(cell.rays, cell.masks, [dot(h, r) for r in cell.rays]):
-        rr = primitive(vsub(vscale(abs(c), r), vscale((1 if c > 0 else -1) * v, l0))) \
-            if v else r
-        proj.append(rr)
-        pmasks.append(mk | bit)
-    up = primitive(l0) if c > 0 else primitive(vneg(l0))
-    plus = Chamber(proj + [up], pmasks + [prev_mask], new_lin)
-    minus = Chamber(list(proj) + [vneg(up)], list(pmasks) + [prev_mask], new_lin)
-    return [plus, minus]
-
+        nxt = []
+        for rays, masks, lin, signed in cells:
+            sides = _sides(rays, masks, lin, h, 1 << step)
+            nxt += [(r, mk, l, signed + [s])
+                    for (r, mk, l, whole), s in zip(sides, (h, vneg(h))) if whole]
+        cells = nxt
+    return [Cone(ambient, rays=rays, lineality=lin, ineqs=signed, _trusted=True)
+            for rays, _, lin, signed in cells]

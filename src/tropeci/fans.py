@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .cones import Cone, NotAFan, chamber_complex, origin_cone, overlaps
+from .cones import Cone, NotAFan, _cut_cone, chamber_complex, origin_cone, overlaps
 from .linalg import (
     canonical_span_rows,
     coordinates_in_basis,
@@ -148,10 +148,8 @@ def wall_lift(rho: Cone, tau: Cone):
 def _is_face_of(cone: Cone, sub: Cone) -> bool:
     """Whether sub (already known to satisfy sub ⊆ cone) is a face of cone."""
     p = sub.relint_point()
-    tight = [a for a in cone.ineqs if dot(a, p) == 0]
-    face = Cone(cone.ambient, ineqs=cone.ineqs,
-                eqs=list(cone.eqs) + tight)
-    return face.key() == sub.key()
+    tight = [a for a in cone._constraints()[0] if dot(a, p) == 0]
+    return _cut_cone(cone, [], tight, 0).key() == sub.key()
 
 
 def check_fan_structure(fan: WeightedFan) -> None:
@@ -289,7 +287,7 @@ def _chamber_totals(members: Sequence, basis, extra_normals=()):
             normals.add(sign_normalized(a))
     d = len(basis)
     for ch in chamber_complex(sorted(normals), d):
-        p = ch.cone(d).relint_point()
+        p = ch.relint_point()
         yield ch, sum(w for c, w in local if c.contains(p))
 
 
@@ -327,7 +325,7 @@ def _refine_to_fan(images: Sequence, ambient: int, dim: int) -> list:
             if total == 0:
                 continue
             amb_rays = [_from_coords(r, basis) for r in ch.rays]
-            amb_lin = [_from_coords(l, basis) for l in ch.lin]
+            amb_lin = [_from_coords(l, basis) for l in ch.lineality]
             out.append((Cone(ambient, rays=amb_rays, lineality=amb_lin,
                              _trusted=True), total))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, common_refinement, overlaps
+from .cones import Cone, chamber_complex, common_refinement, full_space, overlaps
 from .fans import NotBalanced, WeightedFan, group_walls, is_balanced, wall_lift
 from .linalg import (
     dot,
@@ -80,7 +80,12 @@ def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
 
 
 def pullback_linear(m: PLFunction, rows: Sequence) -> PLFunction:
-    """Compose with the linear map x ↦ M x (rows of M are over the new space)."""
+    """Compose with the linear map x ↦ M x (rows of M are over the new space).
+
+    Each cell's constraints composed with M give its preimage, which is cut
+    out of the full space by :func:`common_refinement`; preimages below full
+    dimension and repeats are dropped there.
+    """
     rows = [tuple(r) for r in rows]
     new_dim = len(rows[0]) if rows else 0
 
@@ -89,18 +94,13 @@ def pullback_linear(m: PLFunction, rows: Sequence) -> PLFunction:
                      for j in range(new_dim))
 
     cells = []
-    seen = set()
     for cone, l in m.cells:
-        pre = Cone(new_dim, ineqs=[compose(a) for a in cone.ineqs],
-                   eqs=[compose(e) for e in cone.eqs])
-        if pre.dim < new_dim:
-            continue
-        k = pre.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        cells.append((pre, compose(l)))
-    return PLFunction(new_dim, cells)
+        ineqs, eqs = cone._constraints()
+        cells.append((Cone(new_dim, ineqs=[compose(a) for a in ineqs],
+                           eqs=[compose(e) for e in eqs]), compose(l)))
+    return PLFunction(new_dim, [
+        (piece, l) for piece, _, (l,) in
+        common_refinement([(full_space(new_dim), None)], [cells], new_dim)])
 
 
 def refine_with_function(t_fan: WeightedFan, m: PLFunction) -> list:
@@ -196,7 +196,7 @@ def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
             raise NotADivisor("weights must be integers")
     normals = _wall_hyperplanes(divisor)
     chambers = chamber_complex(normals, n)
-    points = [ch.cone(n).relint_point() for ch in chambers]
+    points = [ch.relint_point() for ch in chambers]
     sigs = []
     for p in points:
         sigs.append(tuple(1 if dot(h, p) > 0 else -1 for h in normals))

@@ -280,8 +280,7 @@ def simplicial_refinement(cones: Sequence[Cone], ambient: int) -> list:
                for i in range(ambient)}
     for cone in cones:
         normals.update(sign_normalized(a) for a in [*cone.ineqs, *cone.eqs])
-    chambers = chamber_complex(sorted(normals), ambient)
-    return triangulate_complete_fan([ch.cone(ambient) for ch in chambers], ambient)
+    return triangulate_complete_fan(chamber_complex(sorted(normals), ambient), ambient)
 
 
 def _pull_triangulate(cone: Cone) -> list:

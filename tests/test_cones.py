@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 from tropeci.cones import (
     Cone,
     _cut_cone,
+    _sides,
     chamber_complex,
     common_refinement,
     dual_description,
     full_space,
     overlaps,
 )
-from tropeci.linalg import dot, rank, vneg
+from tropeci.linalg import canonical_span_rows, dot, rank, vadd, vneg, vscale
 
 
 def test_orthant_two_ways():
@@ -78,7 +79,7 @@ def test_chambers_quadrants():
     cells = chamber_complex([(1, 0), (0, 1)], 2)
     assert len(cells) == 4
     for cell in cells:
-        assert len(cell.rays) == 2 and cell.lin == []
+        assert len(cell.rays) == 2 and cell.lineality == []
 
 
 def test_chambers_three_lines():
@@ -91,22 +92,38 @@ def test_chambers_braid_r3():
     cells = chamber_complex(normals, 3)
     assert len(cells) == 6  # orderings of 3 coordinates
     for cell in cells:
-        assert len(cell.lin) == 1  # the diagonal
+        assert len(cell.lineality) == 1  # the diagonal
 
 
 def test_chambers_non_essential():
     cells = chamber_complex([(1, 0, 0), (0, 1, 0)], 3)
     assert len(cells) == 4
     for cell in cells:
-        assert len(cell.lin) == 1 and cell.lin[0][2] != 0
+        assert len(cell.lineality) == 1 and cell.lineality[0][2] != 0
+
+
+def test_zero_normals_cut_nothing():
+    assert len(chamber_complex([(0, 0), (1, 0), (0, 0)], 2)) == 2
+
+
+def test_chambers_equal_the_conversion_of_their_constraints():
+    # the chamber's ray is another representative modulo the lineality than
+    # the conversion's; the key reduces both to one
+    h = Cone(3, ineqs=[(1, 1, 0)])
+    chambers = chamber_complex([(1, 1, 0)], 3)
+    assert [c == h for c in chambers] == [True, False]
+    assert hash(chambers[0]) == hash(h)
 
 
 def test_chamber_masks_mark_tight_hyperplanes():
     normals = [(1, 0), (0, 1)]
     cells = chamber_complex(normals, 2)
     for cell in cells:
-        for r, mk in zip(cell.rays, cell.masks):
-            for i, h in enumerate(normals):
+        ineqs = cell._constraints()[0]
+        p = cell.relint_point()
+        assert ineqs == sorted(h if dot(h, p) > 0 else vneg(h) for h in normals)
+        for r, mk in zip(cell.rays, cell._tight_masks()):
+            for i, h in enumerate(ineqs):
                 assert ((mk >> i) & 1) == (1 if dot(h, r) == 0 else 0)
 
 
@@ -129,13 +146,15 @@ def essential_arrangements(draw):
 def test_chambers_match_a_fresh_conversion_of_their_signed_normals(case):
     n, normals = case
     for cell in chamber_complex(normals, n):
-        assert cell.lin == []
-        p = cell.cone(n).relint_point()
+        assert cell.lineality == []
+        p = cell.relint_point()
         signed = [h if dot(h, p) > 0 else vneg(h) for h in normals]
         assert all(dot(h, p) > 0 for h in signed)
         assert sorted(cell.rays) == dual_description(signed, [], n)[0]
-        for r, mk in zip(cell.rays, cell.masks):
-            assert mk == sum(1 << i for i, h in enumerate(normals) if dot(h, r) == 0)
+        ineqs = cell._constraints()[0]
+        assert ineqs == sorted(set(signed))
+        for r, mk in zip(cell.rays, cell._tight_masks()):
+            assert mk == sum(1 << i for i, h in enumerate(ineqs) if dot(h, r) == 0)
 
 
 def test_overlaps_skips_pairs_meeting_only_at_the_origin():
@@ -147,6 +166,15 @@ def test_overlaps_skips_pairs_meeting_only_at_the_origin():
 
 
 # -- cutting a cone through its rays ------------------------------------------
+
+
+def test_sides_of_a_hyperplane_keep_the_cone_whole_on_each_side_it_lies_in():
+    rays, masks = [(1, 0, 0), (1, 1, 0)], [0, 0]
+    inside = _sides(rays, masks, [], (0, 0, 1), 1)
+    assert [(r, whole) for r, _, _, whole in inside] == [(rays, True), (rays, True)]
+    bounding = _sides(rays, masks, [], (0, -1, 0), 1)
+    assert [(r, whole) for r, _, _, whole in bounding] == \
+        [([(1, 0, 0)], False), (rays, True)]
 
 
 def test_refinement_keeps_a_pointed_cone_inside_a_cell_hyperplane():
@@ -174,14 +202,16 @@ def refinement_by_intersect(seed, cells, dim):
 
 
 def test_refinement_of_seeds_with_lineality_matches_intersect():
-    # full space and half-spaces take the lazy route; the cells repeat pieces
-    # (the seed's own half-plane, a quadrant given twice), so dedupe is tested
+    # full space and half-spaces are cut through their lineality, so pieces
+    # are compared by key, dimension and lineality span, not by ray
+    # representatives; the cells repeat pieces (the seed's own half-plane, a
+    # quadrant given twice), so dedupe is tested
     half = Cone(2, ineqs=[(1, 0)])
     cells2 = [(Cone(2, ineqs=[]), "all"), (Cone(2, ineqs=[(1, 0)]), "x+"),
               (Cone(2, ineqs=[(0, 1)]), "y+"), (Cone(2, ineqs=[(1, 0), (0, 1)]), "q"),
               (Cone(2, ineqs=[(-1, 0)]), "x-"), (Cone(2, ineqs=[(1, 1)]), "d")]
     arrangement = chamber_complex([(1, 0, 0), (0, 1, 0)], 3)
-    cells3 = [(c.cone(3), i) for i, c in enumerate(arrangement)]
+    cells3 = [(c, i) for i, c in enumerate(arrangement)]
     cells3 += [(Cone(3, ineqs=[(1, 1, 0)], eqs=[(0, 0, 1)]), "flat")]
     cases = [([(full_space(2), "R2"), (half, "H")], cells2, 2),
              ([(full_space(3), "R3"), (Cone(3, ineqs=[(0, 0, 1)]), "z+")], cells3, 3)]
@@ -191,35 +221,77 @@ def test_refinement_of_seeds_with_lineality_matches_intersect():
         assert [(p.key(), t, ls) for p, t, ls in got] == \
             [(p.key(), t, ls) for p, t, ls in want]
         for (p, _, _), (q, _, _) in zip(got, want):
-            assert (p.rays, p.lineality, p.dim) == (q.rays, q.lineality, q.dim)
+            assert p.dim == q.dim
+            assert canonical_span_rows(p.lineality) == canonical_span_rows(q.lineality)
     assert len(common_refinement([(half, "H")], [cells2], 2)) == 3
 
 
 @st.composite
-def pointed_cones_and_cells(draw):
-    """A pointed cone (possibly lower dimensional, given by rays or by raw
-    constraints) and a cell with up to three inequalities and one equation."""
+def cones_and_cells(draw):
+    """A cone (pointed, possibly lower dimensional, or a line, a half-space, a
+    wedge × line or a subspace; given by generators or by raw constraints)
+    and a cell with up to three inequalities and one equation."""
     n = draw(st.integers(2, 4))
     coord = st.integers(-2, 2)
-    flat = draw(st.booleans())
-    ray = st.tuples(*[coord] * (n - 1), st.integers(1, 2)).map(
-        lambda r: (0,) + r[1:] if flat else r)
-    cone = Cone(n, rays=draw(st.lists(ray, min_size=1, max_size=n + 2)))
+    vec = st.tuples(*[coord] * n)
+    nonzero = vec.filter(any)
+    kind = draw(st.sampled_from(["pointed", "line", "half-space", "wedge", "subspace"]))
+    if kind == "pointed":
+        flat = draw(st.booleans())
+        ray = st.tuples(*[coord] * (n - 1), st.integers(1, 2)).map(
+            lambda r: (0,) + r[1:] if flat else r)
+        cone = Cone(n, rays=draw(st.lists(ray, min_size=1, max_size=n + 2)))
+    elif kind == "half-space":
+        cone = Cone(n, ineqs=[draw(nonzero)])
+    else:
+        rays = draw(st.lists(nonzero, min_size=2, max_size=2)) if kind == "wedge" else []
+        lin = draw(st.lists(nonzero, min_size=1, max_size=1 if kind != "subspace" else n - 1))
+        cone = Cone(n, rays=rays, lineality=lin)
     if draw(st.booleans()):
         cone = Cone(n, ineqs=cone.ineqs, eqs=cone.eqs)
-    vec = st.tuples(*[coord] * n)
     cell = Cone(n, ineqs=draw(st.lists(vec, max_size=3)),
                 eqs=draw(st.lists(vec, max_size=1)))
     return cone, cell
 
 
-@settings(max_examples=30)
-@given(pointed_cones_and_cells())
+@settings(max_examples=60)
+@given(cones_and_cells())
 def test_cutting_rays_matches_intersect(case):
     cone, cell = case
     want = cone.intersect(cell)
     got = _cut_cone(cone, *cell._constraints(), 0)
-    assert got.rays == want.rays and got.lineality == want.lineality == []
-    assert got.dim == want.dim and got.key() == want.key()
+    assert got.key() == want.key() and got.dim == want.dim
+    assert canonical_span_rows(got.lineality) == canonical_span_rows(want.lineality)
+    if not want.lineality:
+        assert got.rays == want.rays and got.lineality == []
+    # only inequalities that can define a facet or an implicit equation stay
+    need = got.dim - len(got.lineality) - 1
+    for a in got._constraints()[0]:
+        assert sum(dot(a, r) == 0 for r in got.rays) >= need
     assert _cut_cone(cone, *cell._constraints(), want.dim) is not None
     assert _cut_cone(cone, *cell._constraints(), want.dim + 1) is None
+
+
+@st.composite
+def cones_with_shifted_rays(draw):
+    """A cone with lineality and the same cone given by other ray representatives."""
+    n = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    lin = draw(st.lists(vec.filter(any), min_size=1, max_size=n - 1))
+    cone = Cone(n, rays=draw(st.lists(vec, min_size=1, max_size=n + 1)), lineality=lin)
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(cone.lineality),
+                      max_size=len(cone.lineality))
+    shifted = []
+    for r in cone.rays:
+        for c, l in zip(draw(coeffs), cone.lineality):
+            r = vadd(r, vscale(c, l))
+        shifted.append(r)
+    return cone, Cone(n, rays=shifted, lineality=cone.lineality, _trusted=True)
+
+
+@settings(max_examples=30)
+@given(cones_with_shifted_rays())
+def test_keys_do_not_depend_on_ray_representatives(case):
+    cone, shifted = case
+    assert shifted.key() == cone.key()
+    assert shifted == cone and hash(shifted) == hash(cone)

@@ -10,6 +10,7 @@ from tropeci.fans import (
     NotSurjective,
     WeightedFan,
     check_fan_structure,
+    consolidate,
     fans_equal,
     is_balanced,
     is_zero_cycle,
@@ -188,3 +189,8 @@ def test_fan_addition_and_scaling():
     assert {w for _, w in doubled.cones} == {2}
     assert fans_equal(doubled, LINE.scale(2))
     assert (LINE + (-LINE)).is_zero()
+
+
+def test_a_cone_with_lineality_cancels_against_its_consolidation():
+    h = Cone(3, ineqs=[(1, 1, 0)])
+    assert (WeightedFan(3, [(h, 1)]) + consolidate([(h, -1)], 3, 3)).is_zero()

@@ -135,6 +135,8 @@ def test_reconstruct_empty_divisor_is_point():
 def test_pullback_along_diagonal():
     m = pl_from_polytope(SQUARE)
     pb = pullback_linear(m, [[1], [1]])
+    # the two quadrants that meet the diagonal only at the origin drop out
+    assert sorted(c.rays for c, _ in pb.cells) == [[(-1,)], [(1,)]]
     assert pb.value((1,)) == 2
     assert pb.value((-1,)) == 0
     d = corner_locus(pb, WeightedFan(1, [(full_space(1), 1)]))
