@@ -109,7 +109,7 @@ class CharClassList:
 
 
 def _reflect(poly: LatticePolytope) -> LatticePolytope:
-    return LatticePolytope([tuple(-x for x in v) for v in poly.vertices])
+    return LatticePolytope._from_vertices([tuple(-x for x in v) for v in poly.vertices])
 
 
 def val_decompose(m: VirtualPolytope) -> IndicatorCombination:
@@ -125,7 +125,7 @@ def val_decompose(m: VirtualPolytope) -> IndicatorCombination:
     reflected = _reflect(m.minus)
     terms = []
     for fv in reflected.faces():
-        face = LatticePolytope(fv)
+        face = LatticePolytope._from_vertices(fv)
         terms.append(((-1) ** face.dim, m.plus.minkowski_sum(face)))
     return IndicatorCombination(terms)
 
@@ -217,24 +217,32 @@ def mixed_volume_valuation(ms) -> int:
 
     Normalized so that n identical copies of an honest polytope give its
     normalized volume; on honest arguments this is the lattice mixed
-    volume, hence always an integer.
+    volume, hence always an integer.  Arguments with equal ``plus`` and
+    equal ``minus`` parts are one virtual polytope, and a subset's sum
+    depends only on how many of each it holds (P + P = 2P for convex P), so
+    one volume is taken per distinct coefficient vector: n copies of one
+    argument need n volumes, not 2^n − 1.
     """
     n = _common_ambient(ms)
     if len(ms) != n:
         raise ValueError(f"expected {n} arguments, got {len(ms)}")
+    keys = [(tuple(m.plus.vertices), tuple(m.minus.vertices)) for m in ms]
+    distinct = list(dict.fromkeys(keys))
+    reps = [ms[keys.index(k)] for k in distinct]
+    slot = [distinct.index(k) for k in keys]
     cache = {}
 
     def vol(coeffs):
         if coeffs not in cache:
-            cache[coeffs] = volume_valuation(_scaled_sum(ms, coeffs))
+            cache[coeffs] = volume_valuation(_scaled_sum(reps, coeffs))
         return cache[coeffs]
 
     acc = 0
     for r in range(1, n + 1):
         for subset in combinations(range(n), r):
-            coeffs = [0] * n
+            coeffs = [0] * len(reps)
             for i in subset:
-                coeffs[i] += 1
+                coeffs[slot[i]] += 1
             acc += (-1) ** (n - r) * vol(tuple(coeffs))
     value = Fraction(acc, factorial(n))
     if value.denominator != 1:

@@ -4,17 +4,31 @@ A polytope is the convex hull of finitely many points of ℤ^n.  Each polytope
 builds the homogenization cone over {(p, 1)} once and keeps it: its extreme
 rays are the lifted vertices, its inequalities the facets (plus the far
 hyperplane) and its equations the affine hull, so the vertex list, the
-dimension, the facet list and the containment tests all read one cone.  A
-single point is its own trusted ray, so it runs no conversion until its
-facets are asked for.  Volumes are normalized: the ``normalized_volume`` of
-P is n!·(Euclidean volume), the natural scale for lattice geometry (a
-fundamental simplex has volume 1).
+dimension, the facet list and the containment tests all read one cone.
+Volumes are normalized: the ``normalized_volume`` of P is n!·(Euclidean
+volume), the natural scale for lattice geometry (a fundamental simplex has
+volume 1).
+
+The hull (a double conversion) runs only when the vertices are unknown.
+Where the points are provably the vertices, ``_from_vertices`` trusts them
+and the cone converts once, when the facets are first asked for:
+
+* ``translate`` and ``dilate`` (k > 0) are affine bijections, which map
+  vertices to vertices, and ``dilate(0)`` and a single point are one point;
+* a face's vertices are the vertices of P on it (the facets in
+  ``normalized_volume``, the faces in ``invariants.val_decompose``);
+* ``relative_normalized_volume`` maps P by lattice coordinates in a
+  saturated basis of its span, an injective affine map;
+* ``minkowski_sum`` with a one-point summand is a translate.
+
+A general ``minkowski_sum`` still takes the hull of all pairwise sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .cones import Cone
@@ -33,18 +47,36 @@ class DimMismatch(ValueError):
     pass
 
 
+class TooManyLatticePoints(ValueError):
+    """A bounding box with more lines than ``lattice_points`` enumerates."""
+
+
+# the most lines (points of the box's first n − 1 coordinates) lattice_points scans
+MAX_LATTICE_LINES = 1_000_000
+
+
 class LatticePolytope:
     __slots__ = ("ambient", "vertices", "_cone", "_facets", "_faces", "_span")
 
     def __init__(self, points: Iterable[Sequence[int]]):
         pts = sorted({tuple(int(x) for x in p) for p in points})
+        self._build(pts, trusted=len(pts) == 1)
+
+    @classmethod
+    def _from_vertices(cls, verts) -> "LatticePolytope":
+        """The polytope whose vertex set is exactly ``verts``: no hull is run."""
+        poly = cls.__new__(cls)
+        poly._build(sorted({tuple(v) for v in verts}), trusted=True)
+        return poly
+
+    def _build(self, pts: list, trusted: bool) -> None:
         if not pts:
             raise ValueError("empty point set")
         self.ambient = len(pts[0])
         if any(len(p) != self.ambient for p in pts):
             raise DimMismatch("DimMismatch: points of unequal dimension")
         lifted = [p + (1,) for p in pts]
-        self._cone = Cone(self.ambient + 1, rays=lifted, _trusted=len(pts) == 1)
+        self._cone = Cone(self.ambient + 1, rays=lifted, _trusted=trusted)
         # the lifted points have last coordinate 1, so each extreme ray is (v, 1)
         self.vertices = [r[:-1] for r in self._cone.rays]
         self._facets = None
@@ -133,25 +165,72 @@ class LatticePolytope:
     # -- lattice invariants ----------------------------------------------------
 
     def lattice_points(self) -> list:
-        lows = [min(v[i] for v in self.vertices) for i in range(self.ambient)]
-        highs = [max(v[i] for v in self.vertices) for i in range(self.ambient)]
-        eqs = self.affine_eqs()
-        facs = self.facets()
+        """Lattice points of P in lexicographic order, line by line.
+
+        The first n − 1 coordinates run over P's bounding box; each such
+        prefix is tested against the constraints free of x_n, and the other
+        constraints bound x_n by exact floor divisions.  Raises
+        ``TooManyLatticePoints`` when the box has more than
+        ``MAX_LATTICE_LINES`` prefixes.
+        """
+        n = self.ambient
+        if n == 0:
+            return [()]
+        boxes = [range(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices) + 1)
+                 for i in range(n)]
+        lines = prod(len(r) for r in boxes[:-1])
+        if lines > MAX_LATTICE_LINES:
+            raise TooManyLatticePoints(
+                f"TooManyLatticePoints: the bounding box has {lines} lines, more "
+                f"than {MAX_LATTICE_LINES}")
+        # (normal, constant, is an inequality): e·x + c = 0 or a·x + b ≥ 0
+        rows = [(e, c, 0) for e, c in self.affine_eqs()] + \
+            [(a, b, 1) for a, b in self.facets()]
+        flat = [(r[:-1], c, ineq) for r, c, ineq in rows if r[-1] == 0]
+        steep = [(r[:-1], c, r[-1], ineq) for r, c, ineq in rows if r[-1] != 0]
         out = []
-        for p in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-            if all(dot(e, p) + c == 0 for e, c in eqs) and \
-                    all(dot(a, p) + b >= 0 for a, b in facs):
-                out.append(p)
+        for p in product(*boxes[:-1]):
+            if not all(dot(a, p) + b >= 0 if ineq else dot(a, p) + b == 0
+                       for a, b, ineq in flat):
+                continue
+            lo, hi = boxes[-1].start, boxes[-1].stop - 1
+            for a, b, an, ineq in steep:
+                s = dot(a, p) + b  # the constraint reads an·x_n + s ≥ 0 (or = 0)
+                if not ineq:
+                    if s % an:
+                        hi = lo - 1
+                        break
+                    lo, hi = max(lo, -s // an), min(hi, -s // an)
+                elif an > 0:
+                    lo = max(lo, -(s // an))
+                else:
+                    hi = min(hi, s // -an)
+            out += [p + (x,) for x in range(lo, hi + 1)]
         return out
 
     def n_lattice_points(self) -> int:
         return len(self.lattice_points())
 
     def normalized_volume(self) -> int:
-        """n!·vol(P) in the ambient lattice; 0 when dim P < n."""
+        """n!·vol(P) in the ambient lattice; 0 when dim P < n.
+
+        A simplex is one determinant; otherwise P is coned from its first
+        vertex over the facets that miss it, each facet's relative volume
+        times its lattice distance from that vertex.
+        """
         if self.dim < self.ambient:
             return 0
-        return self._volume_full(self.vertices)
+        verts = self.vertices
+        v0 = verts[0]
+        if len(verts) == self.ambient + 1:
+            return abs(det([vsub(v, v0) for v in verts[1:]]))
+        total = 0
+        for a, b in self.facets():
+            h = dot(a, v0) + b
+            if h:
+                face = [v for v in verts if dot(a, v) + b == 0]
+                total += h * LatticePolytope._from_vertices(face).relative_normalized_volume()
+        return total
 
     def relative_normalized_volume(self) -> int:
         """d!·vol(P) with respect to the lattice of P's own span (d = dim P)."""
@@ -163,42 +242,33 @@ class LatticePolytope:
         for v in self.vertices:
             coords = coordinates_in_basis(basis, vsub(v, v0))
             pts.append(tuple(int(c) for c in coords))
-        return LatticePolytope(pts).normalized_volume()
-
-    def _volume_full(self, verts) -> int:
-        n = len(verts[0])
-        if len(verts) == n + 1:
-            v0 = verts[0]
-            return abs(det([vsub(v, v0) for v in verts[1:]]))
-        p = LatticePolytope(verts) if verts is not self.vertices else self
-        v0 = p.vertices[0]
-        total = 0
-        for a, b in p.facets():
-            h = dot(a, v0) + b
-            if h == 0:
-                continue
-            face = [v for v in p.vertices if dot(a, v) + b == 0]
-            fp = LatticePolytope(face)
-            total += h * fp.relative_normalized_volume()
-        return total
+        # an injective affine map sends the vertices to the image's vertices
+        return LatticePolytope._from_vertices(pts).normalized_volume()
 
     # -- constructions -----------------------------------------------------------
 
     def minkowski_sum(self, other: "LatticePolytope") -> "LatticePolytope":
+        """P + Q; a one-point summand only translates the other, with no hull."""
         if self.ambient != other.ambient:
             raise DimMismatch("DimMismatch: ambient dimensions differ")
+        if len(other.vertices) == 1:
+            return self.translate(other.vertices[0])
+        if len(self.vertices) == 1:
+            return other.translate(self.vertices[0])
         return LatticePolytope([vadd(v, w) for v in self.vertices
                                 for w in other.vertices])
 
     def translate(self, t) -> "LatticePolytope":
-        return LatticePolytope([vadd(v, t) for v in self.vertices])
+        t = tuple(int(x) for x in t)
+        return LatticePolytope._from_vertices([vadd(v, t) for v in self.vertices])
 
     def dilate(self, k: int) -> "LatticePolytope":
-        if k == 0:
-            return LatticePolytope([(0,) * self.ambient])
         if k < 0:
             raise ValueError("negative dilation")
-        return LatticePolytope([tuple(k * x for x in v) for v in self.vertices])
+        if k == 0:
+            return LatticePolytope._from_vertices([(0,) * self.ambient])
+        return LatticePolytope._from_vertices([tuple(k * x for x in v)
+                                               for v in self.vertices])
 
     def normalize_translation(self) -> "LatticePolytope":
         """Translate so the lexicographically smallest vertex is the origin."""
@@ -228,10 +298,12 @@ def mixed_volume_ie(polys: Sequence[LatticePolytope]) -> Fraction:
     if len(polys) != n:
         raise ValueError("need exactly n polytopes in dimension n")
     total = Fraction(0)
+    sums = {}  # subset bitmask -> Minkowski sum of its polytopes
     for mask in range(1, 1 << n):
-        chosen = [polys[i] for i in range(n) if mask >> i & 1]
-        s = chosen[0]
-        for q in chosen[1:]:
-            s = s.minkowski_sum(q)
-        total += (-1) ** (n - len(chosen)) * Fraction(s.normalized_volume(), factorial(n))
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        s = sums[rest].minkowski_sum(polys[top]) if rest else polys[top]
+        sums[mask] = s
+        sign = (-1) ** (n - bin(mask).count("1"))
+        total += sign * Fraction(s.normalized_volume(), factorial(n))
     return total

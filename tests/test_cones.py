@@ -1,6 +1,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tropeci import cones
 from tropeci.cones import (
     Cone,
     _cut_cone,
@@ -270,6 +271,31 @@ def test_cutting_rays_matches_intersect(case):
         assert sum(dot(a, r) == 0 for r in got.rays) >= need
     assert _cut_cone(cone, *cell._constraints(), want.dim) is not None
     assert _cut_cone(cone, *cell._constraints(), want.dim + 1) is None
+
+
+@settings(max_examples=60)
+@given(cones_and_cells())
+def test_facets_read_from_tight_masks_match_the_conversion(case):
+    cone, cell = case
+    got = _cut_cone(cone, *cell._constraints(), 0)
+    fresh = Cone(got.ambient, rays=got.rays, lineality=got.lineality)
+    real, calls = cones.dual_description, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    cones.dual_description = counted
+    try:
+        facets = got.facets()
+        ridges = [{g.key() for g in f.facets()} for f in facets]
+    finally:
+        cones.dual_description = real
+    assert calls == []
+    assert sorted(f.key() for f in facets) == sorted(f.key() for f in fresh.facets())
+    by_key = {f.key(): f for f in fresh.facets()}
+    for f, rs in zip(facets, ridges):
+        assert rs == {g.key() for g in by_key[f.key()].facets()}
 
 
 @st.composite

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from tropeci import invariants
 from tropeci.cones import full_space
 from tropeci.fans import WeightedFan, fans_equal, is_balanced
 from tropeci.invariants import (
@@ -155,6 +156,42 @@ def test_mixed_volume_polarization_matches_inclusion_exclusion():
 def test_mixed_volume_of_repeated_polytope_is_its_volume():
     vp = VirtualPolytope(HEXAGON)
     assert mixed_volume_valuation([vp, vp]) == 6
+
+
+PLUS = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+MINUS = [(0, 0, 0), (1, 1, 0)]
+
+
+@pytest.mark.parametrize("kind", ["honest", "virtual", "equal copies"])
+def test_repeated_arguments_take_one_volume_per_coefficient_vector(monkeypatch, kind):
+    m = VirtualPolytope(LatticePolytope(PLUS),
+                        None if kind == "honest" else LatticePolytope(MINUS))
+    if kind == "equal copies":
+        # equal parts, other objects, built from other point lists
+        twin = VirtualPolytope(LatticePolytope(PLUS[::-1] + [(1, 0, 0)]),
+                               LatticePolytope(MINUS + [(0, 0, 0)]))
+        args = [m, twin, m]
+    else:
+        args = [m, m, m]
+    sums = {  # the sum of every nonempty subset of the arguments, by bitmask
+        1: args[0], 2: args[1], 4: args[2],
+        3: args[0] + args[1], 5: args[0] + args[2], 6: args[1] + args[2],
+        7: args[0] + args[1] + args[2],
+    }
+    expected = sum((-1) ** (3 - bin(mask).count("1")) * volume_valuation(s)
+                   for mask, s in sums.items())
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return volume_valuation(v)
+
+    monkeypatch.setattr(invariants, "volume_valuation", counted)
+    got = mixed_volume_valuation(args)
+    assert 6 * got == expected
+    assert len(calls) == 3
+    if kind == "honest":
+        assert got == LatticePolytope(PLUS).normalized_volume()
 
 
 # -- Hirzebruch genera ----------------------------------------------------------

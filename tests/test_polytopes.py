@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropeci import cones
+from tropeci import cones, polytopes
 from tropeci.cones import Cone
-from tropeci.linalg import dot, rank, vgcd, vsub
+from tropeci.invariants import _reflect
+from tropeci.linalg import coordinates_in_basis, dot, rank, vadd, vgcd, vneg, vsub
 from tropeci.oracles import (
     boundary_lattice_points,
     hull_sign_changes,
     pick_normalized_area,
     random_lattice_polytope,
 )
-from tropeci.polytopes import LatticePolytope, mixed_volume_ie
+from tropeci.polytopes import LatticePolytope, TooManyLatticePoints, mixed_volume_ie
 
 SQUARE = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = LatticePolytope([(0, 0), (1, 0), (0, 1)])
@@ -227,3 +228,56 @@ def test_a_single_point_runs_no_conversion_until_its_facets(monkeypatch):
     assert calls == []
     assert p.facets() == [] and len(p.affine_eqs()) == 3
     assert len(calls) == 1
+
+
+# -- trusted vertices against fresh hulls ---------------------------------------
+
+
+def _assert_same_polytope(p, fresh):
+    """``p`` reads like ``fresh`` everywhere, and its lattice points are the
+    points of the bounding box that ``fresh`` contains."""
+    assert p.vertices == fresh.vertices
+    assert p.dim == fresh.dim
+    assert p.facets() == fresh.facets()
+    assert p.affine_eqs() == fresh.affine_eqs()
+    assert p.normalized_volume() == fresh.normalized_volume()
+    box = [range(min(v[i] for v in fresh.vertices), max(v[i] for v in fresh.vertices) + 1)
+           for i in range(fresh.ambient)]
+    assert p.lattice_points() == [x for x in product(*box) if fresh.contains(x)]
+
+
+@settings(max_examples=60)
+@given(point_sets(), st.data())
+def test_trusted_constructions_equal_fresh_hulls_of_their_points(points, data):
+    p = LatticePolytope(points)
+    n = p.ambient
+    t = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+    other = LatticePolytope(data.draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=2, max_size=4)))
+    point = LatticePolytope([t])
+    moved = [vadd(v, t) for v in p.vertices]
+    built = [(p.translate(t), moved), (p.minkowski_sum(point), moved),
+             (point.minkowski_sum(p), moved), (_reflect(p), [vneg(v) for v in p.vertices]),
+             (p.minkowski_sum(other), [vadd(v, w) for v in p.vertices for w in other.vertices])]
+    built += [(p.dilate(k), [tuple(k * x for x in v) for v in p.vertices]) for k in range(4)]
+    built += [(LatticePolytope._from_vertices(f), f) for f in p.faces()]
+    if p.dim:  # the span-coordinate polytope of relative_normalized_volume
+        coords = [tuple(int(c) for c in coordinates_in_basis(p.span_rows(), vsub(v, p.vertices[0])))
+                  for v in p.vertices]
+        built.append((LatticePolytope._from_vertices(coords), coords))
+    for q, pts in built:
+        _assert_same_polytope(q, LatticePolytope(pts))
+
+
+def test_lattice_points_refuse_a_box_with_too_many_lines(monkeypatch):
+    segment = LatticePolytope([(0, 0, 0), (10 ** 4, 10 ** 4, 1)])
+    with pytest.raises(TooManyLatticePoints):
+        segment.lattice_points()
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_LINES", 4)
+    assert len(LatticePolytope([(0, 0), (3, 0), (0, 9), (3, 9)]).lattice_points()) == 40
+    with pytest.raises(TooManyLatticePoints):
+        LatticePolytope([(0, 0), (4, 0), (0, 1)]).lattice_points()
+
+
+def test_lattice_points_of_the_zero_dimensional_lattice():
+    assert LatticePolytope([()]).lattice_points() == [()]
