@@ -306,31 +306,24 @@ class Cone:
     def facets(self) -> list:
         """Codimension-1 faces (empty for a linear subspace).
 
-        Without an H-rep but with raw constraints, the facets are read from
-        the tightness masks, with no conversion: every facet is cut out by
-        one of the raw inequalities, so each distinct set of rays tight on a
-        raw inequality whose span with the lineality has rank dim − 1 is one
-        facet.  Such a facet keeps the raw constraints, its inequality as an
-        equation added, so its own facets are read the same way.
+        Every facet is cut out by one of the ``_constraints`` inequalities
+        (the raw ones when kept, else the H-rep), so each distinct set of
+        rays tight on one of them whose span with the lineality has rank
+        dim − 1 is one facet, read from the tightness masks.  A facet keeps
+        the constraints, its inequality added as an equation, so its own
+        facets are read the same way, with no conversion.
         """
-        if self._ineqs is None and self._raw_ineqs is not None:
-            raw, raw_eqs = self._raw_ineqs, self._raw_eqs
-            rays, masks, lin, dim = self.rays, self._tight_masks(), self.lineality, self.dim
-            seen, out = set(), []
-            for i, a in enumerate(raw):
-                tight = tuple(r for r, mk in zip(rays, masks) if mk >> i & 1)
-                if tight in seen or len(tight) + len(lin) < dim - 1:
-                    continue
-                seen.add(tight)
-                if rank(list(tight) + lin) == dim - 1:
-                    out.append(Cone(self.ambient, rays=tight, lineality=lin, ineqs=raw,
-                                    eqs=raw_eqs + [a], _trusted=True))
-            return out
-        out = []
-        for a in self.ineqs:
-            tight = [r for r in self.rays if dot(a, r) == 0]
-            out.append(Cone(self.ambient, rays=tight, lineality=self.lineality,
-                            _trusted=True))
+        ineqs, eqs = self._constraints()
+        rays, masks, lin, dim = self.rays, self._tight_masks(), self.lineality, self.dim
+        seen, out = set(), []
+        for i, a in enumerate(ineqs):
+            tight = tuple(r for r, mk in zip(rays, masks) if mk >> i & 1)
+            if tight in seen or len(tight) + len(lin) < dim - 1:
+                continue
+            seen.add(tight)
+            if rank(list(tight) + lin) == dim - 1:
+                out.append(Cone(self.ambient, rays=tight, lineality=lin, ineqs=ineqs,
+                                eqs=list(eqs) + [a], _trusted=True))
         return out
 
     def intersect(self, other: "Cone") -> "Cone":

@@ -217,32 +217,29 @@ def mixed_volume_valuation(ms) -> int:
 
     Normalized so that n identical copies of an honest polytope give its
     normalized volume; on honest arguments this is the lattice mixed
-    volume, hence always an integer.  Arguments with equal ``plus`` and
-    equal ``minus`` parts are one virtual polytope, and a subset's sum
-    depends only on how many of each it holds (P + P = 2P for convex P), so
-    one volume is taken per distinct coefficient vector: n copies of one
-    argument need n volumes, not 2^n − 1.
+    volume, hence always an integer.  The volume is a homogeneous
+    polynomial of degree n on virtual polytopes, so at n copies of one
+    virtual polytope (equal ``plus`` and equal ``minus`` parts) its
+    polarization is its value: one volume, not 2^n − 1.
     """
     n = _common_ambient(ms)
     if len(ms) != n:
         raise ValueError(f"expected {n} arguments, got {len(ms)}")
-    keys = [(tuple(m.plus.vertices), tuple(m.minus.vertices)) for m in ms]
-    distinct = list(dict.fromkeys(keys))
-    reps = [ms[keys.index(k)] for k in distinct]
-    slot = [distinct.index(k) for k in keys]
+    if len({(tuple(m.plus.vertices), tuple(m.minus.vertices)) for m in ms}) == 1:
+        return volume_valuation(ms[0])
     cache = {}
 
     def vol(coeffs):
         if coeffs not in cache:
-            cache[coeffs] = volume_valuation(_scaled_sum(reps, coeffs))
+            cache[coeffs] = volume_valuation(_scaled_sum(ms, coeffs))
         return cache[coeffs]
 
     acc = 0
     for r in range(1, n + 1):
         for subset in combinations(range(n), r):
-            coeffs = [0] * len(reps)
+            coeffs = [0] * n
             for i in subset:
-                coeffs[slot[i]] += 1
+                coeffs[i] += 1
             acc += (-1) ** (n - r) * vol(tuple(coeffs))
     value = Fraction(acc, factorial(n))
     if value.denominator != 1:

@@ -48,11 +48,13 @@ class DimMismatch(ValueError):
 
 
 class TooManyLatticePoints(ValueError):
-    """A bounding box with more lines than ``lattice_points`` enumerates."""
+    """More lines to scan or points to list than ``lattice_points`` allows."""
 
 
-# the most lines (points of the box's first n − 1 coordinates) lattice_points scans
+# lattice_points scans at most MAX_LATTICE_LINES lines (points of the bounding
+# box's first n − 1 coordinates) and lists at most MAX_LATTICE_POINTS points
 MAX_LATTICE_LINES = 1_000_000
+MAX_LATTICE_POINTS = 1_000_000
 
 
 class LatticePolytope:
@@ -170,8 +172,9 @@ class LatticePolytope:
         The first n − 1 coordinates run over P's bounding box; each such
         prefix is tested against the constraints free of x_n, and the other
         constraints bound x_n by exact floor divisions.  Raises
-        ``TooManyLatticePoints`` when the box has more than
-        ``MAX_LATTICE_LINES`` prefixes.
+        ``TooManyLatticePoints``, before enumerating, when the box has more
+        than ``MAX_LATTICE_LINES`` prefixes, and before listing a line that
+        would take the output past ``MAX_LATTICE_POINTS`` points.
         """
         n = self.ambient
         if n == 0:
@@ -205,6 +208,9 @@ class LatticePolytope:
                     lo = max(lo, -(s // an))
                 else:
                     hi = min(hi, s // -an)
+            if len(out) + hi - lo + 1 > MAX_LATTICE_POINTS:
+                raise TooManyLatticePoints(
+                    f"TooManyLatticePoints: more than {MAX_LATTICE_POINTS} lattice points")
             out += [p + (x,) for x in range(lo, hi + 1)]
         return out
 
@@ -298,12 +304,10 @@ def mixed_volume_ie(polys: Sequence[LatticePolytope]) -> Fraction:
     if len(polys) != n:
         raise ValueError("need exactly n polytopes in dimension n")
     total = Fraction(0)
-    sums = {}  # subset bitmask -> Minkowski sum of its polytopes
     for mask in range(1, 1 << n):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        s = sums[rest].minkowski_sum(polys[top]) if rest else polys[top]
-        sums[mask] = s
-        sign = (-1) ** (n - bin(mask).count("1"))
-        total += sign * Fraction(s.normalized_volume(), factorial(n))
+        chosen = [polys[i] for i in range(n) if mask >> i & 1]
+        s = chosen[0]
+        for q in chosen[1:]:
+            s = s.minkowski_sum(q)
+        total += (-1) ** (n - len(chosen)) * Fraction(s.normalized_volume(), factorial(n))
     return total

@@ -292,6 +292,10 @@ def test_facets_read_from_tight_masks_match_the_conversion(case):
     finally:
         cones.dual_description = real
     assert calls == []
+    # without raw constraints the facets come one per H-rep inequality, in order
+    assert [f.key() for f in fresh.facets()] == [
+        Cone(fresh.ambient, rays=[r for r in fresh.rays if dot(a, r) == 0],
+             lineality=fresh.lineality, _trusted=True).key() for a in fresh.ineqs]
     assert sorted(f.key() for f in facets) == sorted(f.key() for f in fresh.facets())
     by_key = {f.key(): f for f in fresh.facets()}
     for f, rs in zip(facets, ridges):

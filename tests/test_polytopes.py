@@ -269,14 +269,22 @@ def test_trusted_constructions_equal_fresh_hulls_of_their_points(points, data):
         _assert_same_polytope(q, LatticePolytope(pts))
 
 
-def test_lattice_points_refuse_a_box_with_too_many_lines(monkeypatch):
-    segment = LatticePolytope([(0, 0, 0), (10 ** 4, 10 ** 4, 1)])
-    with pytest.raises(TooManyLatticePoints):
-        segment.lattice_points()
+def test_lattice_points_refuse_too_many_lines_or_points(monkeypatch):
+    # two lattice points, but 10^8 lines of the box to scan
+    with pytest.raises(TooManyLatticePoints, match="lines"):
+        LatticePolytope([(0, 0, 0), (10 ** 4, 10 ** 4, 1)]).lattice_points()
+    # one line, but 10^9 + 1 points on it
+    with pytest.raises(TooManyLatticePoints, match="points"):
+        LatticePolytope([(0, 0), (0, 10 ** 9)]).lattice_points()
+    box = LatticePolytope([(0, 0), (3, 0), (0, 9), (3, 9)])  # 4 lines of 10 points
     monkeypatch.setattr(polytopes, "MAX_LATTICE_LINES", 4)
-    assert len(LatticePolytope([(0, 0), (3, 0), (0, 9), (3, 9)]).lattice_points()) == 40
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 40)
+    assert len(box.lattice_points()) == 40
     with pytest.raises(TooManyLatticePoints):
         LatticePolytope([(0, 0), (4, 0), (0, 1)]).lattice_points()
+    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 39)
+    with pytest.raises(TooManyLatticePoints):
+        box.lattice_points()
 
 
 def test_lattice_points_of_the_zero_dimensional_lattice():
