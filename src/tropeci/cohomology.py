@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .fans import (NotComplementary, WeightedFan, fans_equal,
                    stable_intersection_number, support_connected_off_origin)
-from .linalg import canonical_span_rows, dot, in_span, kernel_basis, rank, \
-    rational_primitive
+from .linalg import canonical_span_rows, dot, in_span, int_vector, kernel_basis, \
+    rank, rational_primitive
 from .mci import TCI
 from .plfunc import PLFunction, iterated_corner_locus, refine_with_function
 
@@ -57,7 +57,7 @@ class CycleWitness:
                 raise ValueError("factor ambient differs from the base fan")
         if powers is None:
             powers = [1] * len(self.factors)
-        self.powers = tuple(int(p) for p in powers)
+        self.powers = int_vector(powers)
         if len(self.powers) != len(self.factors):
             raise ValueError("one power per factor expected")
         if any(p < 0 for p in self.powers):

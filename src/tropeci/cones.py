@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
-    _reduce_row,
+    _reduce,
+    _transpose,
     canonical_span_rows,
     dot,
     inverse_rows,
@@ -74,19 +75,12 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
     rows += [vneg(r) for r in rows[len(ineqs):]]  # equations as opposite pairs
     rows = [r for r in rows if not is_zero(r)]
 
-    # initial simplicial cone from a nonsingular subsystem
-    base_idx, base, red = [], [], []
-    for i, r in enumerate(rows):
-        work = list(r)
-        piv = _reduce_row(work, red)
-        if piv is not None:
-            red.append((piv, work))
-            base_idx.append(i)
-            base.append(r)
-            if len(base) == m:
-                break
-    if len(base) < m:  # cannot happen: lineality was fully removed
+    # initial simplicial cone from the first independent rows: the pivot
+    # columns of the transposed rows
+    base_idx = _reduce(_transpose(rows, m))[1]
+    if len(base_idx) < m:  # cannot happen: lineality was fully removed
         raise AssertionError("pointed part is not pointed")
+    base = [rows[i] for i in base_idx]
 
     order = base_idx + [i for i in range(len(rows)) if i not in base_idx]
     inv_mat, _ = inverse_rows(base)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .cones import Cone, common_refinement, full_space
 from .fans import WeightedFan, pushforward
-from .linalg import solve
+from .linalg import int_vector, solve
 from .mci import MCI, TCI, tci_from_mci
 from .plfunc import (PLFunction, pl_from_polytope, pullback_linear,
                      reconstruct_polytope)
@@ -152,7 +152,7 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
     ``v`` is primitive — and the restricted system's mixed corner-locus
     number is the requested value.
     """
-    v = tuple(int(x) for x in v)
+    v = int_vector(v)
     if not v or gcd(*v) != 1:
         raise NotPrimitive(f"direction {v} is not primitive")
     total = tci.fans[0].ambient

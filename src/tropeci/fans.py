@@ -20,6 +20,7 @@ from .linalg import (
     coordinates_in_basis,
     dot,
     in_span,
+    int_vector,
     kernel_basis,
     primitive,
     rank,
@@ -110,14 +111,7 @@ def _int_coords(basis, v):
     coords = coordinates_in_basis(basis, v)
     if coords is None:
         raise ValueError("vector lies outside the span of the basis")
-    out = []
-    for c in coords:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError("vector has non-integral coordinates in the basis")
-            c = c.numerator
-        out.append(int(c))
-    return tuple(out)
+    return int_vector(coords)
 
 
 def wall_lift(rho: Cone, tau: Cone):

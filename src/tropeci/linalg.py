@@ -5,15 +5,16 @@ No floats, ever.  Matrices are sequences of row tuples whose entries are
 ``Fraction``.  All elimination runs on integers: rational rows are first scaled
 to integer rows with the same row space (:func:`_int_rows`), never truncated.
 
-:func:`det`, :func:`solve` (and so :func:`coordinates_in_basis`) and
-:func:`inverse_rows` share one fraction-free Gauss–Jordan core,
-:func:`_gauss_jordan` (Bareiss's integer-preserving elimination); they build a
-``Fraction`` at most once per output entry.  Rank, span membership and the
-canonical reduced bases go through one forward reduction, :func:`_forward`,
-built on the primitive-row reduction :func:`_reduce_row`.
+There is one elimination core, :func:`_gauss_jordan`: fraction-free
+Gauss–Jordan elimination (Bareiss's integer-preserving scheme).  :func:`rank`,
+:func:`det`, :func:`solve` (and so :func:`coordinates_in_basis`),
+:func:`in_span`, :func:`inverse_rows`, :func:`kernel_basis` and
+:func:`canonical_span_rows` all read their answers off its reduced rows, and
+build a ``Fraction`` at most once per output entry.  For lattices,
 :func:`smith_with_basis` diagonalizes an integer matrix by unimodular
 operations while tracking the inverse column transform; that single routine
 yields saturations, lattice complements and sublattice indices.
+:func:`int_vector` reads outside coordinates as integers, exactly.
 """
 
 from __future__ import annotations
@@ -46,6 +47,22 @@ def primitive(v) -> Vec:
     if g == 0:
         raise ZeroVector("ZeroVector: the zero vector has no primitive form")
     return tuple(x // g for x in v)
+
+
+def int_vector(v) -> Vec:
+    """The entries of v as ints, read exactly; ValueError on a non-integral one.
+
+    Integral floats and Fractions are accepted; nothing is truncated.
+    """
+    out = []
+    for x in v:
+        if not isinstance(x, int):
+            q = Fraction(x)
+            if q.denominator != 1:
+                raise ValueError(f"non-integral coordinate {x!r}")
+            x = q.numerator
+        out.append(int(x))
+    return tuple(out)
 
 
 def rational_primitive(v) -> Vec:
@@ -109,60 +126,37 @@ def _int_rows(rows: Mat) -> tuple[list, list]:
     return out, scales
 
 
-def _reduce_row(row: list, red: list) -> int | None:
-    """Eliminate ``row`` in place against reduced rows; return its pivot column.
+def _width(rows: Mat, n: int | None = None) -> int:
+    """The common length of the rows, ``n`` when given; ValueError otherwise."""
+    if n is None:
+        n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"rows of different lengths, expected {n}")
+    return n
 
-    ``red`` holds ``(pivot_col, row)`` pairs with primitive rows and positive
-    pivots.  Returns None when the row reduces to zero; otherwise the row is
-    normalized primitive with a positive pivot entry.
+
+def _transpose(rows: Mat, n: int) -> list:
+    """The n columns of rows of length n, as rows (ValueError on ragged rows)."""
+    _width(rows, n)
+    return list(zip(*rows)) if rows else [()] * n
+
+
+def _reduce(rows: Mat, ncols: int | None = None) -> tuple[list, list, int]:
+    """``(m, pivots, d)``: the rows scaled to integers and reduced by the core.
+
+    Every row must have length ``ncols`` (the first row's length when not
+    given).  ``m[:len(pivots)]`` is the reduced echelon basis of the row
+    space, each row with the entry ``d`` in its pivot column.
     """
-    for pc, pr in red:
-        x = row[pc]
-        if x:
-            p = pr[pc]
-            g = gcd(abs(x), p)
-            a, b = p // g, x // g
-            for j in range(len(row)):
-                row[j] = a * row[j] - b * pr[j]
-    piv = next((j for j, x in enumerate(row) if x), None)
-    if piv is None:
-        return None
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    if row[piv] < 0:
-        g = -g
-    for j in range(len(row)):
-        row[j] //= g
-    return piv
-
-
-def _forward(rows: Mat) -> list:
-    """``(pivot_col, primitive row)`` of each row, scaled to integers, that
-    does not vanish when reduced against the rows kept before it."""
-    red = []
-    for r in _int_rows(rows)[0]:
-        piv = _reduce_row(r, red)
-        if piv is not None:
-            red.append((piv, r))
-    return red
-
-
-def _int_echelon(rows: Mat) -> list:
-    """Reduced row echelon data: sorted ``(pivot_col, primitive row)`` pairs."""
-    red = sorted(_forward(rows))
-    # back-eliminate so every pivot column is clear in the other rows; the
-    # primitive reduced echelon form is unique, so the order does not matter
-    for i in range(len(red) - 2, -1, -1):
-        later = red[i + 1:]
-        if any(red[i][1][pc] for pc, _ in later):
-            _reduce_row(red[i][1], later)
-    return red
+    ncols = _width(rows, ncols)
+    m, _ = _int_rows(rows)
+    pivots, d, _ = _gauss_jordan(m, ncols)
+    return m, pivots, d
 
 
 def rank(rows: Mat) -> int:
-    """Rank over ℚ by fraction-free elimination."""
-    return len(_forward(rows))
+    """Rank over ℚ: the number of pivots of the fraction-free core."""
+    return len(_reduce(rows)[1])
 
 
 def _gauss_jordan(m: list, ncols: int) -> tuple[list, int, int]:
@@ -248,24 +242,29 @@ def solve(rows: Mat, rhs) -> tuple | None:
     pivot: the entries are Fractions built once, at the end.  Raises
     ValueError on ragged rows or a right-hand side of the wrong length.
     """
+    red = _consistent(rows, rhs)
+    if red is None:
+        return None
+    m, pivots, d = red
+    x = [Fraction(0)] * (len(rows[0]) if rows else 0)
+    for row, c in zip(m, pivots):
+        x[c] = Fraction(row[-1], d)
+    return tuple(x)
+
+
+def _consistent(rows: Mat, rhs) -> tuple[list, list, int] | None:
+    """The system rows·x = rhs reduced by the core as ``(m, pivots, d)``, the
+    right-hand side in the last column, or None if it is inconsistent."""
     rhs = tuple(rhs)
     if len(rhs) != len(rows):
         raise ValueError(
             f"right-hand side has {len(rhs)} entries for {len(rows)} equations")
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("rows of different lengths")
+    ncols = _width(rows)
     m, _ = _int_rows([[*r, b] for r, b in zip(rows, rhs)])
     pivots, d, _ = _gauss_jordan(m, ncols)
-    for row in m[len(pivots):]:
-        if row[ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        x[c] = Fraction(row[ncols], d)
-    return tuple(x)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    return m, pivots, d
 
 
 def inverse_rows(rows: Mat):
@@ -297,9 +296,12 @@ def inverse_rows(rows: Mat):
 
 
 def in_span(rows: Mat, v) -> bool:
-    """Is v in the ℚ-span of the rows?"""
-    probe = _int_rows([tuple(v)])[0][0]
-    return _reduce_row(probe, _forward(rows)) is None
+    """Is v in the ℚ-span of the rows?  That is, is rowsᵀ·x = v consistent?
+
+    Raises ValueError on ragged rows or a v of another length.
+    """
+    v = tuple(v)
+    return _consistent(_transpose(rows, len(v)), v) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -404,42 +406,41 @@ def sublattice_index(rows: Mat) -> int:
 
 
 def kernel_basis(rows: Mat, ncols: int) -> list:
-    """Saturated ℤ-basis of {x ∈ ℤ^ncols : rows · x = 0}."""
-    red = _int_echelon(rows)
-    pivots = [pc for pc, _ in red]
-    pivot_set = set(pivots)
+    """Saturated ℤ-basis of {x ∈ ℤ^ncols : rows · x = 0}.
+
+    Each free column f of the reduced echelon form gives the kernel vector
+    with x_f = d, the pivot variables read off their rows and the other free
+    variables 0, made primitive with x_f > 0.  Raises ValueError unless every
+    row has length ncols.
+    """
+    m, pivots, d = _reduce(rows, ncols)
     vecs = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivots:
             continue
         v = [0] * ncols
-        v[f] = 1
-        den = 1
-        for pc, pr in red:
-            if pr[f]:
-                den = den * pr[pc] // gcd(den, pr[pc])
-        v[f] = den
-        for pc, pr in red:
-            if pr[f]:
-                v[pc] = -pr[f] * (den // pr[pc])
-        vecs.append(primitive(tuple(v)))
-    if not vecs:
-        return []
-    return saturation_basis(vecs)
+        v[f] = d
+        for c, row in zip(pivots, m):
+            v[c] = -row[f]
+        vecs.append(primitive(v if d > 0 else vneg(v)))
+    return saturation_basis(vecs) if vecs else []
 
 
 def canonical_span_rows(rows: Mat) -> tuple:
-    """Canonical key for the ℚ-span of the rows: primitive RREF basis."""
-    return tuple(tuple(row) for _, row in _int_echelon(rows))
+    """Canonical key for the ℚ-span of the rows: primitive RREF basis.
+
+    Each reduced echelon row of the core, divided by its gcd with the sign
+    that makes its pivot positive; the primitive reduced echelon form is
+    unique.  Raises ValueError on ragged rows.
+    """
+    m, pivots, d = _reduce(rows)
+    return tuple(primitive(row if d > 0 else vneg(row)) for row in m[:len(pivots)])
 
 
 def coordinates_in_basis(basis: Mat, v):
     """Coefficients of v in the given basis (rows), or None if outside."""
-    if not basis:
-        return () if is_zero(v) else None
-    cols = list(zip(*basis))
-    sol = solve(cols, v)
-    return sol
+    v = tuple(v)
+    return solve(_transpose(basis, len(v)), v)
 
 
 def solve_dot_one(phi) -> Vec:

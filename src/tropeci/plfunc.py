@@ -197,29 +197,27 @@ def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
     normals = _wall_hyperplanes(divisor)
     chambers = chamber_complex(normals, n)
     points = [ch.relint_point() for ch in chambers]
-    sigs = []
-    for p in points:
-        sigs.append(tuple(1 if dot(h, p) > 0 else -1 for h in normals))
+    sigs = [tuple(1 if dot(h, p) > 0 else -1 for h in normals) for p in points]
+    index = {sig: i for i, sig in enumerate(sigs)}
     covectors = {0: (0,) * n}
     queue = [0]
     while queue:
         i = queue.pop()
-        for j in range(len(chambers)):
-            if j == i:
+        for k, h in enumerate(normals):
+            # the chamber across hyperplane k, if the two share a wall there
+            j = index.get(sigs[i][:k] + (-sigs[i][k],) + sigs[i][k + 1:])
+            if j is None:
                 continue
-            diffs = [k for k in range(len(normals)) if sigs[i][k] != sigs[j][k]]
-            if len(diffs) != 1:
-                continue
-            h = normals[diffs[0]]
-            crossing = _crossing_point(points[i], points[j], h)
+            # the sum of i's rays on h is an integer point inside the shared wall
+            on_wall = [r for r in chambers[i].rays if dot(h, r) == 0]
+            crossing = tuple(sum(r[x] for r in on_wall) for x in range(n))
             weight = sum(w for c, w in divisor.cones if c.contains(crossing))
-            u = h if dot(h, points[j]) > 0 else tuple(-x for x in h)
-            l_new = vadd(covectors[i], vscale(weight, u))
+            l_new = vadd(covectors[i], vscale(weight * sigs[j][k], h))
             if j in covectors:
-                if covectors[j] != tuple(l_new):
+                if covectors[j] != l_new:
                     raise NotADivisor("incompatible jumps around a wall")
             else:
-                covectors[j] = tuple(l_new)
+                covectors[j] = l_new
                 queue.append(j)
     if len(covectors) != len(chambers):
         raise NotADivisor("support of the cycle disconnects the space")
@@ -231,8 +229,3 @@ def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
     poly = LatticePolytope(verts)
     return poly.normalize_translation()
 
-
-def _crossing_point(p, q, h):
-    a, b = dot(h, p), dot(h, q)
-    t = Fraction(a, a - b)
-    return tuple(Fraction(x) + t * (y - x) for x, y in zip(p, q))

@@ -36,6 +36,7 @@ from .linalg import (
     coordinates_in_basis,
     det,
     dot,
+    int_vector,
     saturation_basis,
     vadd,
     vgcd,
@@ -61,7 +62,7 @@ class LatticePolytope:
     __slots__ = ("ambient", "vertices", "_cone", "_facets", "_faces", "_span")
 
     def __init__(self, points: Iterable[Sequence[int]]):
-        pts = sorted({tuple(int(x) for x in p) for p in points})
+        pts = sorted({int_vector(p) for p in points})
         self._build(pts, trusted=len(pts) == 1)
 
     @classmethod
@@ -247,7 +248,7 @@ class LatticePolytope:
         pts = []
         for v in self.vertices:
             coords = coordinates_in_basis(basis, vsub(v, v0))
-            pts.append(tuple(int(c) for c in coords))
+            pts.append(int_vector(coords))
         # an injective affine map sends the vertices to the image's vertices
         return LatticePolytope._from_vertices(pts).normalized_volume()
 
@@ -265,7 +266,7 @@ class LatticePolytope:
                                 for w in other.vertices])
 
     def translate(self, t) -> "LatticePolytope":
-        t = tuple(int(x) for x in t)
+        t = int_vector(t)
         return LatticePolytope._from_vertices([vadd(v, t) for v in self.vertices])
 
     def dilate(self, k: int) -> "LatticePolytope":

@@ -103,6 +103,9 @@ def test_witness_validation():
         CycleWitness(unit_fan(2), [m], [1, 1])   # length mismatch
     with pytest.raises(ValueError):
         CycleWitness(unit_fan(2), [m], [-1])     # negative power
+    with pytest.raises(ValueError):
+        CycleWitness(unit_fan(2), [m], [1.5])    # fractional power
+    assert CycleWitness(unit_fan(2), [m], [2.0]).powers == (2,)
 
 
 # -- pairings against mixed volumes -------------------------------------------

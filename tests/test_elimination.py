@@ -1,5 +1,6 @@
 """Eliminant polytopes: projection route, shadow route, and their agreement."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -275,6 +276,19 @@ def test_direction_must_be_primitive():
         eliminant_support_value(tci, (0, 0))
     with pytest.raises(ValueError):
         eliminant_support_value(tci, (1, 0, 0, 0))
+
+
+def test_fractional_direction_is_rejected_not_truncated():
+    mci = two_block_mci(shifted_graph_points(1, 1),
+                        shifted_graph_points(1, 2))
+    tci = tci_from_mci(mci)
+    # truncation would read (1.5, 1) as the primitive direction (1, 1)
+    with pytest.raises(ValueError):
+        eliminant_support_value(tci, (1.5, 1))
+    with pytest.raises(ValueError):
+        eliminant_support_value(tci, (Fraction(1, 2), 1))
+    assert eliminant_support_value(tci, (1.0, Fraction(1))) == \
+        eliminant_support_value(tci, (1, 1))
 
 
 def test_collapsed_intersection_is_rejected():

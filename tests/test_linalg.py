@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropeci.linalg import (
@@ -12,6 +12,7 @@ from tropeci.linalg import (
     det,
     dot,
     in_span,
+    int_vector,
     inverse_rows,
     kernel_basis,
     primitive,
@@ -39,6 +40,14 @@ def test_rational_primitive_reads_every_entry_exactly():
     assert rational_primitive((0.25, -0.5)) == (1, -2)
     with pytest.raises(ZeroVector):
         rational_primitive((0.0, 0))
+
+
+def test_int_vector_reads_integers_exactly():
+    assert int_vector((2.0, Fraction(6, 3), -4, True)) == (2, 2, -4, 1)
+    assert all(type(x) is int for x in int_vector((2.0, Fraction(6, 3), True)))
+    for bad in [(0.5, 0), (2, 1.9), (Fraction(3, 2),)]:
+        with pytest.raises(ValueError):
+            int_vector(bad)
 
 
 def test_det_and_rank():
@@ -77,6 +86,13 @@ def test_rational_input_is_read_exactly():
     lambda: solve([(1, 0), (0, 1)], (1, 2, 3)),
     lambda: solve([(1, 0), (1,)], (1, 2)),
     lambda: solve([], (1,)),
+    lambda: rank([(1, 0), (0, 1, 1)]),
+    lambda: in_span([(1, 0)], (1, 0, 0)),
+    lambda: in_span([(1, 0, 0)], (0, 1)),
+    lambda: in_span([(1, 0), (1,)], (1, 0)),
+    lambda: kernel_basis([(1, 0), (0, 1, 1)], 3),
+    lambda: kernel_basis([(1, 0, 0)], 2),
+    lambda: canonical_span_rows([(1, 0), (0, 1, 1)]),
 ])
 def test_malformed_or_singular_input_raises(call):
     with pytest.raises(ValueError):
@@ -247,3 +263,127 @@ def test_canonical_span_rows():
     b = canonical_span_rows([(1, 0), (0, 1)])
     assert a == b
     assert canonical_span_rows([(2, 4)]) == canonical_span_rows([(-1, -2)])
+
+
+# -- rank, span tests and echelon forms against the primitive-row reduction ---
+# The forward reduction these functions ran on before they moved onto the
+# fraction-free core, kept as an independent reference.
+
+
+def ref_reduce_row(row, red):
+    """Eliminate ``row`` against ``(pivot_col, primitive row)`` pairs; return
+    its pivot column, or None when it reduces to zero."""
+    for pc, pr in red:
+        x = row[pc]
+        if x:
+            p = pr[pc]
+            g = gcd(abs(x), p)
+            a, b = p // g, x // g
+            for j in range(len(row)):
+                row[j] = a * row[j] - b * pr[j]
+    piv = next((j for j, x in enumerate(row) if x), None)
+    if piv is None:
+        return None
+    g = 0
+    for x in row:
+        g = gcd(g, abs(x))
+    if row[piv] < 0:
+        g = -g
+    for j in range(len(row)):
+        row[j] //= g
+    return piv
+
+
+def ref_int_rows(rows):
+    out = []
+    for r in rows:
+        den = 1
+        for x in r:
+            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
+        out.append([int(Fraction(x) * den) for x in r])
+    return out
+
+
+def ref_forward(rows):
+    red = []
+    for r in ref_int_rows(rows):
+        piv = ref_reduce_row(r, red)
+        if piv is not None:
+            red.append((piv, r))
+    return red
+
+
+def ref_int_echelon(rows):
+    red = sorted(ref_forward(rows))
+    for i in range(len(red) - 2, -1, -1):
+        later = red[i + 1:]
+        if any(red[i][1][pc] for pc, _ in later):
+            ref_reduce_row(red[i][1], later)
+    return red
+
+
+def ref_in_span(rows, v):
+    return ref_reduce_row(ref_int_rows([v])[0], ref_forward(rows)) is None
+
+
+def ref_kernel_basis(rows, ncols):
+    red = ref_int_echelon(rows)
+    pivots = {pc for pc, _ in red}
+    vecs = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        den = 1
+        for pc, pr in red:
+            if pr[f]:
+                den = den * pr[pc] // gcd(den, pr[pc])
+        v[f] = den
+        for pc, pr in red:
+            if pr[f]:
+                v[pc] = -pr[f] * (den // pr[pc])
+        vecs.append(primitive(tuple(v)))
+    return saturation_basis(vecs) if vecs else []
+
+
+@st.composite
+def span_inputs(draw):
+    """Rows (possibly none) with zero, repeated and dependent rows, plus a
+    probe vector that is often in their span."""
+    entries = draw(st.sampled_from([SPARSE_INTS, RATIONALS]))
+    ncols = draw(st.integers(1, 5))
+    vec = st.lists(entries, min_size=ncols, max_size=ncols).map(tuple)
+    rows = draw(st.lists(vec, max_size=5))
+    extra = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            extra.append((0,) * ncols)
+        elif kind == "repeat":
+            extra.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(RATIONALS)
+            extra.append(tuple(x + c * y for x, y in zip(a, b)))
+    rows = rows + extra
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+        probe = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols))
+    else:
+        probe = draw(vec)
+    return rows, probe, ncols
+
+
+@settings(max_examples=80)
+@given(span_inputs())
+@example(([], (0, 1), 2))
+@example(([], (0,), 1))
+@example(([(0,), (3,), (Fraction(-3, 2),)], (Fraction(1, 2),), 1))
+@example(([(0, 0, 0), (1, 2, 3), (2, 4, 6)], (Fraction(1, 3), Fraction(2, 3), 1), 3))
+def test_span_functions_match_the_primitive_row_reduction(inp):
+    rows, probe, ncols = inp
+    red = ref_int_echelon(rows)
+    assert rank(rows) == len(red)
+    assert canonical_span_rows(rows) == tuple(tuple(r) for _, r in red)
+    assert in_span(rows, probe) == ref_in_span(rows, probe)
+    assert kernel_basis(rows, ncols) == ref_kernel_basis(rows, ncols)

@@ -107,6 +107,25 @@ def test_reconstruct_roundtrip_random_polygons():
         assert reconstruct_polytope(d) == p
 
 
+def test_reconstruct_roundtrip_random_3d_polytopes():
+    rng = Random(4)
+    for _ in range(3):
+        p = random_lattice_polytope(rng, 3, 7).normalize_translation()
+        d = corner_locus(pl_from_polytope(p), WeightedFan(3, [(full_space(3), 1)]))
+        assert reconstruct_polytope(d) == p
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (2, 1)],                 # segment in ℝ²: one wall, half-plane chambers
+    [(0, 0, 0), (1, 0, 1), (0, 2, 1)],  # triangle in ℝ³: chambers with a lineality line
+])
+def test_reconstruct_divisors_whose_chambers_have_lineality(points):
+    p = LatticePolytope(points)
+    n = p.ambient
+    d = corner_locus(pl_from_polytope(p), WeightedFan(n, [(full_space(n), 1)]))
+    assert reconstruct_polytope(d) == p
+
+
 def test_reconstruct_rejects_unbalanced():
     with pytest.raises(NotADivisor):
         reconstruct_polytope(ray_fan([((1, 0), 1)]))

@@ -141,6 +141,21 @@ def test_contains_rational_points():
     assert not seg.contains((1, 1))
 
 
+def test_fractional_coordinates_are_rejected_not_truncated():
+    for points in [[(0.5, 0), (2, 1.9)], [(Fraction(3, 2), 0)]]:
+        with pytest.raises(ValueError):
+            LatticePolytope(points)
+    assert LatticePolytope([(2.0, Fraction(4, 2)), (0, 0)]).vertices == [(0, 0), (2, 2)]
+
+
+def test_fractional_translations_are_rejected_not_truncated():
+    with pytest.raises(ValueError):
+        TRIANGLE.translate((0.5, 0))
+    with pytest.raises(ValueError):
+        TRIANGLE.translate((Fraction(1, 3), 1))
+    assert TRIANGLE.translate((2.0, Fraction(3))) == TRIANGLE.translate((2, 3))
+
+
 def test_translate_dilate_normalize():
     t = TRIANGLE.translate((2, 3))
     assert t.vertices == [(2, 3), (2, 4), (3, 3)]
