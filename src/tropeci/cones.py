@@ -32,6 +32,7 @@ from .linalg import (
     kernel_basis,
     primitive,
     rank,
+    rational_primitive,
     saturation_basis,
     vneg,
     vscale,
@@ -198,7 +199,8 @@ class Cone:
         if rays is None and ineqs is None:
             raise ValueError("need generators or inequalities")
         if rays is not None:
-            rays = sorted(_dedupe(primitive(r) for r in rays if not is_zero(r)))
+            read = primitive if _trusted else rational_primitive
+            rays = sorted(_dedupe(read(r) for r in rays if not is_zero(r)))
             lineality = [tuple(v) for v in (lineality or [])]
             if _trusted:
                 self._rays, self._lin = rays, lineality

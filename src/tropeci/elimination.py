@@ -16,7 +16,11 @@ independent ways:
 The projection route is the system of record; the shadow route recomputes
 individual support values and is used to cross-check the result vector by
 vector.  The two routes anchor the polytope at different translates, so
-agreement is checked modulo a global translation.
+agreement is checked modulo a global translation.  The projection route is
+tropical elimination (Sturmfels–Tevelev 2008, *Elimination theory for
+tropical varieties*); the eliminant's Newton polytope as a mixed fiber
+polytope, read off one support value at a time, is Esterov–Khovanskii 2008
+(*Elimination theory and Newton polytopes*).
 """
 
 from math import gcd
@@ -106,13 +110,20 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
     if len(ms) != amb:
         raise ValueError(
             f"need {amb} factors on a {amb}-dimensional space, got {len(ms)}")
-
     # mᵢ(x, 0) as a function of (x, t): compose with (x, t) ↦ (x, 0).
-    flat_rows = [tuple(1 if j == i else 0 for j in range(amb))
-                 for i in range(amb - 1)]
-    flat_rows.append((0,) * amb)
-    zeros = [pullback_linear(m, flat_rows) for m in ms]
+    flat = _slice_rows(amb - 1, (0,))
+    return _shadow(ms, [pullback_linear(m, flat) for m in ms])
 
+
+def _slice_rows(n: int, v: Sequence[int]) -> list:
+    """Rows of (x, t) ↦ (x, t·v) from ℝⁿ × ℝ to ℝⁿ × ℝ^len(v)."""
+    return [tuple(int(i == j) for j in range(n + 1)) for i in range(n)] + \
+        [(0,) * n + (x,) for x in v]
+
+
+def _shadow(ms: Sequence[PLFunction], zeros: Sequence[PLFunction]) -> PPFunction:
+    """``shadow_function`` of ms, given the factors mᵢ(x, 0) as ``zeros``."""
+    amb = ms[0].ambient
     e_t = (0,) * (amb - 1) + (1,)
     cells = []
     upper = [(Cone(amb, ineqs=[e_t]), None)]
@@ -126,6 +137,13 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
     return PPFunction(amb, amb, cells)
 
 
+def _shadow_number(shadow: PPFunction):
+    try:
+        return pp_iterated_number(shadow, _unit_fan(shadow.ambient))
+    except NotContinuous as e:  # pragma: no cover - guarded by construction
+        raise InternalError(f"shadow assembly is discontinuous: {e}") from e
+
+
 def mixed_shadow_volume(ms: Sequence[PLFunction]):
     """Mixed corner-locus number of the gated product difference of ms.
 
@@ -134,11 +152,7 @@ def mixed_shadow_volume(ms: Sequence[PLFunction]):
     of an eliminant polytope.  Returns an exact rational (an int when the
     value is integral).
     """
-    shadow = shadow_function(ms)
-    try:
-        return pp_iterated_number(shadow, _unit_fan(shadow.ambient))
-    except NotContinuous as e:  # pragma: no cover - guarded by construction
-        raise InternalError(f"shadow assembly is discontinuous: {e}") from e
+    return _shadow_number(shadow_function(ms))
 
 
 def eliminant_support_value(tci: TCI, v: Sequence[int]):
@@ -155,8 +169,7 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
     v = int_vector(v)
     if not v or gcd(*v) != 1:
         raise NotPrimitive(f"direction {v} is not primitive")
-    total = tci.fans[0].ambient
-    n = total - len(v)
+    n = tci.fans[0].ambient - len(v)
     if n < 0:
         raise ValueError("direction longer than the ambient dimension")
     if tci.codim != n + 1:
@@ -165,11 +178,19 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
     if tci.collapsed_at is not None:
         raise DegenerateEliminant(
             f"intersection collapsed after step {tci.collapsed_at}")
-    sub = n + 1
-    rows = [tuple(1 if j == i else 0 for j in range(sub)) for i in range(n)]
-    rows += [(0,) * n + (x,) for x in v]
-    ms = [pullback_linear(m, rows) for m in tci.functions]
-    return mixed_shadow_volume(ms)
+    return next(_support_values(tci, [v], n))
+
+
+def _support_values(tci: TCI, vs: Sequence[tuple], n: int):
+    """``eliminant_support_value`` at checked directions with n eliminated
+    coordinates.  The factors mᵢ(x, 0) are pulled back once, along
+    (x, t) ↦ (x, t·v) ↦ (x, 0), which does not depend on v."""
+    flat = _slice_rows(n, (0,) * (tci.fans[0].ambient - n))
+    zeros = [pullback_linear(m, flat) for m in tci.functions]
+    for v in vs:
+        rows = _slice_rows(n, v)
+        yield _shadow_number(_shadow([pullback_linear(m, rows) for m in tci.functions],
+                                     zeros))
 
 
 def tropical_eliminant(t_last: WeightedFan,
@@ -228,8 +249,8 @@ def eliminant_polytope(mci: MCI, split: ProjectionSplit,
     support_values = {r: poly.support(r) for r in rays}
     route = "projection"
     if verify_shadow:
-        diffs = [eliminant_support_value(tci, r) - support_values[r]
-                 for r in rays]
+        values = _support_values(tci, rays, split.eliminated)
+        diffs = [x - support_values[r] for r, x in zip(rays, values)]
         if rays and solve([list(r) for r in rays], diffs) is None:
             raise InternalError(
                 "shadow support values do not match the projected polytope "

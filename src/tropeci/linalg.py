@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import index
 from typing import Sequence
 
 Vec = tuple
@@ -320,9 +321,12 @@ def smith_with_basis(rows: Mat):
     row lattice, ``basis[len(diag):]`` is a complementary basis, and
     ``prod(diag)`` is the index of the row lattice inside its saturation.
     (Divisibility ordering of ``diag`` is not enforced; none of the uses here
-    needs it.)
+    needs it.)  A non-integral entry raises ValueError.
     """
-    a = [list(map(int, r)) for r in rows]
+    try:  # integer rows, the common case, are read at no extra cost
+        a = [list(map(index, r)) for r in rows]
+    except TypeError:
+        a = [list(int_vector(r)) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     w = [[int(i == j) for j in range(ncols)] for i in range(ncols)]  # V^{-1}
@@ -384,25 +388,28 @@ def smith_with_basis(rows: Mat):
     return diag, [tuple(r) for r in w]
 
 
+def _span_smith(rows: Mat):
+    try:
+        return smith_with_basis(rows)
+    except ValueError:  # rational rows: scale them, only their ℚ-span matters
+        return smith_with_basis(_int_rows(rows)[0])
+
+
 def saturation_basis(rows: Mat) -> list:
     """ℤ-basis of (ℚ-span of rows) ∩ ℤ^n."""
-    diag, basis = smith_with_basis(rows)
+    diag, basis = _span_smith(rows)
     return basis[: len(diag)]
 
 
 def complement_basis(rows: Mat) -> list:
     """ℤ-basis complementary to the saturation of the row lattice."""
-    diag, basis = smith_with_basis(rows)
+    diag, basis = _span_smith(rows)
     return basis[len(diag):]
 
 
 def sublattice_index(rows: Mat) -> int:
     """Index of the row lattice inside its saturation (1 for empty input)."""
-    diag, _ = smith_with_basis(rows)
-    out = 1
-    for d in diag:
-        out *= d
-    return out
+    return prod(smith_with_basis(rows)[0])
 
 
 def kernel_basis(rows: Mat, ncols: int) -> list:

@@ -9,9 +9,11 @@ more robust route: F is expanded over a simplicial fan refining its cells
 and T into products of Courant hat functions (the piecewise linear
 barycentric coordinates of the rays), and each product of hats is folded
 combinatorially over that fan by ``_FanEngine``, a hat being a barycentric
-coordinate on every simplex.  On products of PL functions the number agrees
-with the iterated PL corner locus of ``plfunc``, which is what pins the
-semantics.
+coordinate on every simplex.  A fold takes no lattice lifts: on a face
+τ = ρ ∪ {ρ′} the lift of L_τ/L_ρ is (mult ρ / mult τ)·ρ′ modulo span ρ
+(Fulton–Sturmfels 1997, *Intersection theory on toric varieties*).  On
+products of PL functions the number agrees with the iterated PL corner locus
+of ``plfunc``, which is what pins the semantics.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, common_refinement, overlaps
+from .cones import Cone, _dedupe, chamber_complex, common_refinement, overlaps
 from .fans import NotBalanced, WeightedFan, group_walls, wall_lift
-from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, vadd, vscale
+from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, sublattice_index
 from .plfunc import PLFunction
 
 
@@ -49,13 +51,8 @@ class Poly:
     @classmethod
     def linear(cls, covector) -> "Poly":
         n = len(covector)
-        terms = {}
-        for i, c in enumerate(covector):
-            if c != 0:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls(n, terms)
+        return cls(n, {tuple(int(j == i) for j in range(n)): c
+                       for i, c in enumerate(covector)})
 
     @classmethod
     def linear_product(cls, nvars: int, covectors) -> "Poly":
@@ -100,8 +97,7 @@ class Poly:
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.nvars, terms)
 
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__  # other is a scalar here
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -111,11 +107,10 @@ class Poly:
     def eval(self, x):
         total = 0
         for e, c in self.terms.items():
-            v = c
             for xi, ei in zip(x, e):
-                for _ in range(ei):
-                    v = v * xi
-            total += v
+                if ei:
+                    c = c * xi ** ei
+            total += c
         return total
 
     def partial(self, i: int) -> "Poly":
@@ -129,11 +124,7 @@ class Poly:
         return Poly(self.nvars, terms)
 
     def dir_deriv(self, u) -> "Poly":
-        out = Poly(self.nvars, {})
-        for i, ui in enumerate(u):
-            if ui != 0:
-                out = out + self.partial(i) * ui
-        return out
+        return self.dir_deriv_poly([Poly.const(self.nvars, ui) for ui in u])
 
     def dir_deriv_poly(self, v_polys: Sequence["Poly"]) -> "Poly":
         out = Poly(self.nvars, {})
@@ -168,8 +159,7 @@ class Poly:
         """Express the polynomial on the subspace spanned by the basis rows."""
         if not basis_rows:
             return Poly.const(0, self.eval((0,) * self.nvars))
-        cols = list(zip(*basis_rows))
-        return self.compose(cols)
+        return self.compose(list(zip(*basis_rows)))
 
     def __repr__(self):
         return f"Poly({self.terms})"
@@ -317,16 +307,9 @@ def triangulate_complete_fan(cells: Sequence[Cone], ambient: int) -> list:
     that depends on the face alone.  Returns full-dimensional simplices as
     sorted ray tuples.
     """
-    seen = set()
-    out = []
-    for cone in cells:
-        if cone.lineality:
-            raise ValueError("cells must be pointed")
-        for s in _pull_triangulate(cone):
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-    return out
+    if any(cone.lineality for cone in cells):
+        raise ValueError("cells must be pointed")
+    return _dedupe(s for cone in cells for s in _pull_triangulate(cone))
 
 
 def _multiset_coefficients(f: PPFunction, simplices: Sequence) -> dict:
@@ -337,33 +320,19 @@ def _multiset_coefficients(f: PPFunction, simplices: Sequence) -> dict:
     discontinuity of F across that face, so this doubles as the continuity
     check of the piecewise data.
     """
-    n = f.ambient
     coeffs = {}
     for s in simplices:
-        p = None
         probe = tuple(map(sum, zip(*s)))
-        for cone, poly in f.cells:
-            if cone.contains(probe):
-                p = poly
-                break
+        p = next((poly for cone, poly in f.cells if cone.contains(probe)), None)
         if p is None:
             raise ValueError("refinement left the domain of F")
         # barycentric expansion: x = Σ t_i·r_i.  Absent monomials count as
         # explicit zeros — a zero-vs-nonzero clash is a discontinuity too.
-        cols = [tuple(r[j] for r in s) for j in range(n)]
-        local = p.compose(cols)
+        local = p.compose(list(zip(*s)))
         for combo in combinations_with_replacement(range(len(s)), f.degree):
-            exp = [0] * len(s)
-            for i in combo:
-                exp[i] += 1
-            c = local.terms.get(tuple(exp), 0)
-            key = tuple(sorted(s[i] for i in combo))
-            if key in coeffs:
-                if coeffs[key] != c:
-                    raise NotContinuous(
-                        "inconsistent coefficients on a shared face")
-            else:
-                coeffs[key] = c
+            c = local.terms.get(tuple(map(combo.count, range(len(s)))), 0)
+            if coeffs.setdefault(tuple(sorted(s[i] for i in combo)), c) != c:
+                raise NotContinuous("inconsistent coefficients on a shared face")
     return coeffs
 
 
@@ -385,20 +354,23 @@ class _FanEngine:
 
     Every intermediate cycle in an iterated hat-product evaluation is
     supported on faces of the starting fan, and a hat is a barycentric
-    coordinate there; so cycles can be stored as weight dictionaries keyed by
-    ray sets, and one fold is pure dictionary bookkeeping — no cone
-    conversions at all.  Quotient lifts and barycentric covectors are
-    memoized across folds.
+    coordinate there; so cycles are stored as weight dictionaries keyed by
+    ray sets, and a fold is scalar bookkeeping.  Let mult σ be the index of
+    the lattice spanned by the rays of a face σ in its saturation (1 for the
+    empty face).  For a face τ = ρ ∪ {ρ′}, the primitive lift u of L_τ/L_ρ
+    toward τ is (mult ρ / mult τ)·ρ′ modulo span ρ, the toric intersection
+    formula (Fulton–Sturmfels 1997, *Intersection theory on toric
+    varieties*).  The hats of r on τ and on ρ agree on span ρ, and on τ the
+    hat of r is 1 at r and 0 at the other rays, so the term w·(l_τ − l_ρ)·u
+    of τ at ρ is w·(mult ρ / mult τ)·([ρ′ = r] − l_ρ·ρ′), balanced or not.
     """
 
-    def __init__(self, simplices: Sequence, ambient: int):
-        self.ambient = ambient
+    def __init__(self, simplices: Sequence):
         self.simplices = [tuple(s) for s in simplices]
-        self._bary = {}       # simplex -> list of covector rows (Fractions)
-        self._lift = {}       # (wall frozenset, apex ray) -> primitive lift
+        self._inverse = {}    # simplex -> (M, d): its hat covectors are M/d
+        self._mult = {}       # face frozenset -> multiplicity
         self._face_home = {}  # face frozenset -> a simplex containing it
         self._ray_index = {}  # ray -> set of simplex positions
-        self._zero = (0,) * ambient
         for i, s in enumerate(self.simplices):
             for r in s:
                 self._ray_index.setdefault(r, set()).add(i)
@@ -417,55 +389,55 @@ class _FanEngine:
         return {face: w for face, w in state.items() if w != 0}
 
     def _home(self, face: frozenset) -> tuple:
+        """The first simplex containing a nonempty face of the fan."""
         if face not in self._face_home:
-            it = iter(face)
-            common = set(self._ray_index[next(it)])
-            for r in it:
-                common &= self._ray_index[r]
-            if not common:
-                raise AssertionError("face does not sit in any simplex")
+            common = set.intersection(*(self._ray_index[r] for r in face))
             self._face_home[face] = self.simplices[min(common)]
         return self._face_home[face]
 
-    def covector_on(self, face: frozenset, r) -> tuple:
-        """Ambient covector of the hat of r, valid on the span of the face."""
-        if r not in face:
-            return self._zero
-        s = self._home(face)
-        if s not in self._bary:
-            self._bary[s] = _barycentric(s)
-        return self._bary[s][s.index(r)]
+    def _multiplicity(self, face: frozenset) -> int:
+        m = self._mult.get(face)
+        if m is None:
+            m = self._mult[face] = sublattice_index(list(face))
+        return m
 
-    def lift(self, wall: frozenset, apex) -> tuple:
-        key = (wall, apex)
-        if key not in self._lift:
-            w_cone = Cone(self.ambient, rays=list(wall), _trusted=True)
-            f_cone = Cone(self.ambient, rays=list(wall) + [apex], _trusted=True)
-            self._lift[key] = wall_lift(w_cone, f_cone)
-        return self._lift[key]
+    def _hat(self, face: frozenset, r) -> tuple:
+        """(row, d): the hat of r ∈ face is row/d on the span of the face."""
+        s = self._home(face)
+        inv = self._inverse.get(s)
+        if inv is None:
+            inv = self._inverse[s] = inverse_rows(list(zip(*s)))
+        return inv[0][s.index(r)], inv[1]
 
     def fold(self, state: dict, r) -> dict:
-        """Corner locus of (hat of r)·(cycle given by state)."""
-        groups = {}
-        zero = self._zero
+        """Corner locus of (hat of r)·(cycle given by state).
+
+        Only faces through r contribute: the hat vanishes on the others.
+        """
+        sums = {}
         for face, w in state.items():
-            l_face = self.covector_on(face, r)
-            for rho in face:
-                wall = face - {rho}
-                u = self.lift(wall, rho)
-                g = groups.get(wall)
-                if g is None:
-                    groups[wall] = g = [0, zero]
-                if l_face is not zero:
-                    g[0] += w * dot(l_face, u)
-                g[1] = vadd(g[1], vscale(w, u))
+            if r not in face:
+                continue
+            m = self._multiplicity(face)
+            if m != 1:
+                w = Fraction(w, m)
+            for apex in face:
+                wall = face - {apex}
+                k = 1 if apex == r else -dot(self._hat(wall, r)[0], apex)
+                if k:
+                    sums[wall] = sums.get(wall, 0) + w * k
         out = {}
-        for wall, (defect, flux) in groups.items():
-            l_wall = self.covector_on(wall, r)
-            weight = defect - dot(l_wall, flux)
-            if weight != 0:
-                out[wall] = weight
+        for wall, total in sums.items():
+            if total:
+                den = self._hat(wall, r)[1] if r in wall else 1
+                out[wall] = _exact(total * self._multiplicity(wall), den)
         return out
+
+
+def _exact(num, den: int = 1):
+    """num/den as an int when it is integral, else as a Fraction."""
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def pp_iterated_number(f: PPFunction, t_fan: WeightedFan):
@@ -493,7 +465,7 @@ def pp_iterated_number(f: PPFunction, t_fan: WeightedFan):
     else:
         simplices = simplicial_refinement(cells + [c for c, _ in t_fan.cones], n)
     coeffs = _multiset_coefficients(f, simplices)
-    engine = _FanEngine(simplices, n)
+    engine = _FanEngine(simplices)
     states = {(): engine.initial_state(t_fan)}
 
     def state_for(prefix: tuple) -> dict:
@@ -507,6 +479,4 @@ def pp_iterated_number(f: PPFunction, t_fan: WeightedFan):
         if c == 0:
             continue
         total += c * state_for(key).get(frozenset(), 0)
-    if isinstance(total, Fraction) and total.denominator == 1:
-        total = total.numerator
-    return total
+    return _exact(total)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +47,13 @@ def test_square_cone_facets():
 def test_redundant_generator_dropped():
     c = Cone(2, rays=[(1, 0), (0, 1), (1, 1)])
     assert c.rays == [(0, 1), (1, 0)]
+
+
+def test_rational_and_float_rays_are_read_exactly():
+    for ray in [(Fraction(1, 2), 1), (0.5, 1.0), (Fraction(3), 6)]:
+        assert Cone(2, rays=[ray]).rays == [(1, 2)]
+    cone = Cone(2, rays=[(Fraction(1, 3), 0), (0.25, Fraction(1, 2))])
+    assert cone.rays == Cone(2, rays=[(1, 0), (1, 2)]).rays
 
 
 def test_subspace_cone():

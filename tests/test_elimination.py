@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from tropeci import elimination
 from tropeci.cones import Cone, full_space
 from tropeci.fans import WeightedFan
 from tropeci.linalg import solve, vsub
@@ -261,6 +262,26 @@ def test_routes_agree_on_random_systems():
             continue
         assert result.route == "both"
         done += 1
+
+
+def test_zero_factors_are_pulled_back_once_per_intersection(monkeypatch):
+    # mᵢ(x, 0) does not depend on the direction: a verified eliminant pulls
+    # each defining function back once for the zeros and once per direction
+    mci = two_block_mci(shifted_graph_points(2, 1), shifted_graph_points(2, 2))
+    calls = []
+    pullback = elimination.pullback_linear
+    monkeypatch.setattr(elimination, "pullback_linear",
+                        lambda m, rows: calls.append(rows) or pullback(m, rows))
+    result = eliminant_polytope(mci, ProjectionSplit(1, 2), verify_shadow=True)
+    assert result.route == "both"
+    assert len(calls) == 2 * (1 + len(result.support_values))
+    monkeypatch.undo()
+    # and the shared zeros give the values of the per-direction shadow
+    tci = tci_from_mci(mci)
+    for r in result.support_values:
+        rows = [(1, 0), (0, r[0]), (0, r[1])]
+        ms = [pullback_linear(m, rows) for m in tci.functions]
+        assert eliminant_support_value(tci, r) == mixed_shadow_volume(ms)
 
 
 # -- input validation -----------------------------------------------------------

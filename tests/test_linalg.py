@@ -242,6 +242,24 @@ def test_smith_saturation_and_index():
     assert abs(det([saturation_basis([(1, 2)])[0], comp[0]])) == 1
 
 
+def test_saturation_and_complement_read_rational_rows_exactly():
+    # only the ℚ-span matters: (1/2, 1) spans the line through (1, 2)
+    assert saturation_basis([(Fraction(1, 2), 1)]) in ([(1, 2)], [(-1, -2)])
+    assert saturation_basis([(0.5, 1.0), (Fraction(3, 2), 3)]) in ([(1, 2)], [(-1, -2)])
+    comp = complement_basis([(Fraction(1, 2), 1)])
+    assert comp == complement_basis([(1, 2)])
+    assert abs(det([(1, 2), comp[0]])) == 1
+
+
+@pytest.mark.parametrize("call", [sublattice_index, smith_with_basis])
+def test_lattice_normal_forms_refuse_non_integral_entries(call):
+    with pytest.raises(ValueError):
+        call([(Fraction(3, 2), 3)])
+    with pytest.raises(ValueError):
+        call([(1, 0), (0, 0.5)])
+    assert sublattice_index([(Fraction(4, 2), 4.0)]) == 2
+
+
 def test_kernel_basis():
     k = kernel_basis([(1, 1, 1)], 3)
     assert len(k) == 2

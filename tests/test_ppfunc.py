@@ -1,6 +1,7 @@
 """Piecewise-polynomial corner loci and the hat-decomposition engine."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropeci.cones import Cone, full_space
-from tropeci.fans import WeightedFan
+from tropeci.fans import WeightedFan, wall_lift
+from tropeci.linalg import dot, inverse_rows, primitive, sublattice_index, vsub
 from tropeci.oracles import random_lattice_polytope
 from tropeci.plfunc import (
     PLFunction,
@@ -20,6 +22,7 @@ from tropeci.plfunc import (
 from tropeci.polytopes import LatticePolytope, mixed_volume_ie
 from tropeci.ppfunc import (
     NotContinuous,
+    _FanEngine,
     PPFunction,
     Poly,
     courant_decomposition,
@@ -28,6 +31,7 @@ from tropeci.ppfunc import (
     pp_from_pl_product,
     pp_iterated_number,
     simplicial_refinement,
+    triangulate_complete_fan,
 )
 
 
@@ -318,3 +322,93 @@ def test_engine_folds_cells_with_lineality(case):
     f = pp_from_pl_product([pl_from_polytope(p) for p in flat])
     assert all(c.lineality for c, _ in f.cells)
     assert pp_iterated_number(f, t_fan) == weight * mixed_volume_ie(full + flat)
+
+
+# -- the multiplicity fold against the lift-based fold --------------------------
+
+
+def lift_fold(simplices, state, r):
+    """Reference fold by lattice lifts: each face τ adds w·(l_τ − l_ρ)·u to
+    each of its walls ρ, where u = fans.wall_lift(ρ, τ) and l_σ is the hat
+    covector of r on the first simplex holding σ (zero when r ∉ σ)."""
+    n = len(simplices[0])
+
+    def hat(face):
+        if r not in face:
+            return (0,) * n
+        s = next(s for s in simplices if face <= set(s))
+        mat, d = inverse_rows(list(zip(*s)))
+        return tuple(Fraction(x, d) for x in mat[s.index(r)])
+
+    out = {}
+    for face, w in state.items():
+        tau = Cone(n, rays=list(face), _trusted=True)
+        for apex in face:
+            wall = face - {apex}
+            u = wall_lift(Cone(n, rays=list(wall), _trusted=True), tau)
+            out[wall] = out.get(wall, 0) + w * dot(vsub(hat(face), hat(wall)), u)
+    return {wall: x for wall, x in out.items() if x != 0}
+
+
+def _stretched_fan(rng: Random, ambient: int) -> list:
+    """A complete simplicial fan with maximal cones of multiplicity > 1 (in
+    56 of the first 60 seeds): the pull triangulation of a random normal
+    fan, mapped by an integer matrix of determinant 2 or 3."""
+    poly = random_lattice_polytope(rng, ambient, ambient + rng.randint(1, 3), box=2)
+    simplices = triangulate_complete_fan([c for c, _ in pl_from_polytope(poly).cells],
+                                         ambient)
+    a = [[rng.randint(-1, 1) if j > i else int(i == j) for j in range(ambient)]
+         for i in range(ambient)]
+    a[-1][-1] = rng.choice([2, 3])
+    rng.shuffle(a)
+    image = {r: primitive(tuple(dot(row, r) for row in a)) for s in simplices for r in s}
+    return [tuple(sorted(image[r] for r in s)) for s in simplices]
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32))
+def test_multiplicity_fold_matches_the_lift_fold(ambient, seed):
+    rng = Random(seed)
+    simplices = _stretched_fan(rng, ambient)
+    engine = _FanEngine(simplices)
+    k = rng.randint(1, ambient)
+    faces = sorted({frozenset(f) for s in simplices for f in combinations(s, k)},
+                   key=sorted)
+    state = {f: rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 2)])
+             for f in faces}
+    state = {f: w for f, w in state.items() if w != 0}
+    rays = sorted({r for s in simplices for r in s})
+    for r in rng.sample(rays, min(3, len(rays))):
+        assert engine.fold(state, r) == lift_fold(simplices, state, r)
+    # an unbalanced state still folds term by term, and folds chain
+    r1, r2 = rng.choice(rays), rng.choice(rays)
+    assert engine.fold(engine.fold(state, r1), r2) == \
+        lift_fold(simplices, lift_fold(simplices, state, r1), r2)
+
+
+def test_fold_through_a_cone_of_multiplicity_two():
+    # the cone spanned by (1, 0) and (1, 2) has index 2 in ℤ², so the
+    # intersection number of the two hats is 1/2
+    simplices = [((1, 0), (1, 2)), ((-1, 0), (1, 2)), ((-1, 0), (0, -1)),
+                 ((0, -1), (1, 0))]
+    assert sublattice_index([(1, 0), (1, 2)]) == 2
+    hats = courant_hats(simplices, 2)
+    a, b = hats[(1, 0)], hats[(1, 2)]
+    expected = iterated_corner_locus([a, b], unit_fan(2)).weight_of_point((0, 0))
+    assert expected == Fraction(1, 2)
+    assert pp_iterated_number(pp_from_pl_product([a, b]), unit_fan(2)) == expected
+    # integral numbers come back as ints
+    unimodular = pp_iterated_number(
+        pp_from_pl_product([hats[(-1, 0)], hats[(0, -1)]]), unit_fan(2))
+    assert unimodular == 1 and type(unimodular) is int
+    engine = _FanEngine(simplices)
+    whole = engine.initial_state(unit_fan(2))
+    divisor = engine.fold(whole, (1, 0))
+    assert divisor == lift_fold(simplices, whole, (1, 0))
+    assert divisor[frozenset({(1, 2)})] == Fraction(1, 2)
+    assert engine.fold(divisor, (1, 2)) == {frozenset(): Fraction(1, 2)}
+    # self-intersections through the multiplicity-2 cone agree with the PL route
+    for r in [(1, 0), (1, 2)]:
+        pl = iterated_corner_locus([hats[r], hats[r]], unit_fan(2))
+        assert pp_iterated_number(pp_from_pl_product([hats[r], hats[r]]), unit_fan(2)) \
+            == pl.weight_of_point((0, 0))
