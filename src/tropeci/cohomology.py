@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Sequence
 
 from .fans import (NotComplementary, WeightedFan, fans_equal,
@@ -142,8 +143,14 @@ def self_intersection(tci: TCI, j: int) -> int:
 # signature and the two-class inequality
 
 def _congruence_signature(gram: Sequence[Sequence]) -> tuple:
-    """Inertia of a symmetric rational matrix by congruence elimination."""
-    m = [[Fraction(x) for x in row] for row in gram]
+    """Inertia of a symmetric rational matrix by fraction-free congruences.
+
+    The matrix is scaled to integers by a positive common denominator; a
+    pivot d = m[k][k] clears column k by row_i ← d·row_i − m[i][k]·row_k and
+    the same step on column i.  Congruences keep the inertia (Sylvester).
+    """
+    den = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    m = [[int(x * den) for x in row] for row in gram]
     n = len(m)
 
     def swap(i, j):
@@ -174,12 +181,12 @@ def _congruence_signature(gram: Sequence[Sequence]) -> tuple:
         else:
             neg += 1
         for i in range(k + 1, n):
-            if m[i][k] == 0:
+            a = m[i][k]
+            if a == 0:
                 continue
-            f = m[i][k] / d
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+            m[i] = [d * x - a * y for x, y in zip(m[i], m[k])]
             for row in m:
-                row[i] = row[i] - f * row[k]
+                row[i] = d * row[i] - a * row[k]
     return pos, neg, n - pos - neg
 
 

@@ -322,12 +322,6 @@ class Cone:
                                 eqs=list(eqs) + [a], _trusted=True))
         return out
 
-    def intersect(self, other: "Cone") -> "Cone":
-        """Intersection by a fresh conversion (the package cuts with
-        :func:`_cut_cone`; this is the reference it is tested against)."""
-        return Cone(self.ambient, ineqs=list(self.ineqs) + list(other.ineqs),
-                    eqs=list(self.eqs) + list(other.eqs))
-
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={self.rays}, lin={len(self.lineality)})"
 

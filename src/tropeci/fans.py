@@ -19,7 +19,6 @@ from .linalg import (
     canonical_span_rows,
     coordinates_in_basis,
     dot,
-    in_span,
     int_vector,
     kernel_basis,
     primitive,
@@ -158,15 +157,45 @@ def is_balanced(fan: WeightedFan, check_fan: bool = True) -> bool:
     """Weighted balancing test around every codimension-one wall."""
     if check_fan:
         check_fan_structure(fan)
-    if fan.dim <= 0:
-        return True
-    for wall, incident in group_walls(fan.cones).values():
-        total = (0,) * fan.ambient
-        for cone, w in incident:
-            total = vadd(total, vscale(w, wall_lift(wall, cone)))
-        if not in_span(wall.span_rows(), total):
-            return False
+    try:
+        _wall_step(fan.cones, fan.ambient, lambda *_: 0)
+    except NotBalanced:
+        return False
     return True
+
+
+def _vanishes(x, span) -> bool:
+    """Whether a number is 0, or a ``Poly`` is zero on the span's rows."""
+    return x == 0 if isinstance(x, (int, Fraction)) else x.restrict(span).is_zero()
+
+
+def _wall_step(pieces: Sequence, ambient: int, term, check: bool = True) -> list:
+    """(wall, weight) over the walls of weighted pieces: one corner-locus step.
+
+    Pieces are tuples (cone, weight, ...) with number or ``Poly`` weights, and
+    they must meet face to face: walls are their cones' facets matched by key.
+    Wall ρ weighs Σ_j ``term(τ_j, τ_0, ũ_j)`` over its incident pieces τ_j, τ_0
+    the first, with lifts ũ_j = ``wall_lift(ρ, τ_j)``, and is dropped when that
+    vanishes on span ρ.  With ``check``, a Σ_j w_j·ũ_j outside span ρ raises
+    NotBalanced: the cycle is unbalanced at ρ, or a piece is subdivided
+    differently from its neighbour.
+    """
+    out = []
+    for wall, incident in group_walls(pieces).values():
+        span = wall.span_rows()
+        lifts = [wall_lift(wall, piece[0]) for piece in incident]
+        if check:
+            total = (0,) * ambient
+            for piece, u in zip(incident, lifts):
+                total = vadd(total, vscale(piece[1], u))
+            if not all(_vanishes(dot(psi, total), span)
+                       for psi in kernel_basis(span, ambient)):
+                raise NotBalanced("weighted lifts leave the span of a wall: the cycle "
+                                  "is unbalanced or its pieces do not meet face to face")
+        weight = sum(term(piece, incident[0], u) for piece, u in zip(incident, lifts))
+        if not _vanishes(weight, span):
+            out.append((wall, weight))
+    return out
 
 
 def group_walls(items: Iterable) -> dict:

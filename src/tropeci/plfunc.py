@@ -13,10 +13,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cones import Cone, chamber_complex, common_refinement, full_space, overlaps
-from .fans import NotBalanced, WeightedFan, group_walls, is_balanced, wall_lift
+from .fans import WeightedFan, _wall_step
 from .linalg import (
     dot,
-    in_span,
     kernel_basis,
     sign_normalized,
     vadd,
@@ -117,44 +116,34 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan, check: bool = True) -> Weigh
     """Weighted corner locus of m along a balanced cycle.
 
     Walls are the codimension-one faces of the refinement of the cycle by the
-    cells of m; each wall ρ gets the weight Σ w_j·m(ũ_j) − ℓ_ρ(Σ w_j·ũ_j)
-    over incident refined cones with quotient lifts ũ_j.
+    cells of m; each wall ρ gets the weight Σ_j w_j·(ℓ_j − ℓ_ρ)(ũ_j) over
+    incident refined cones with covectors ℓ_j and quotient lifts ũ_j, where
+    ℓ_ρ is any one of the ℓ_j (they agree on span ρ).
 
     Walls are matched by their face keys, so the refined pieces must meet
-    face to face; with ``check`` on, a wall whose weighted lifts leave its
-    span (as when a piece is subdivided differently from its neighbour)
-    raises NotBalanced instead of returning a wrong cycle.  Cell structures
-    cut from a common arrangement always meet face to face.
+    face to face.  With ``check`` on, a wall whose weighted lifts leave its
+    span raises NotBalanced instead of returning a wrong cycle: the cycle is
+    unbalanced there, or a piece is subdivided differently from its
+    neighbour.  Cell structures cut from a common arrangement always meet
+    face to face.
     """
-    if check and not is_balanced(t_fan, check_fan=False):
-        raise NotBalanced("corner locus requires a balanced input cycle")
     if t_fan.is_zero():
         return WeightedFan(t_fan.ambient, [], dim=max(t_fan.dim - 1, -1))
-    walls = []
-    for wall, incident in group_walls(refine_with_function(t_fan, m)).values():
-        l_wall = incident[0][2]
-        total_lift = (0,) * t_fan.ambient
-        weight = 0
-        for cone, w, l in incident:
-            u = wall_lift(wall, cone)
-            weight += w * dot(l, u)
-            total_lift = vadd(total_lift, vscale(w, u))
-        if check and not in_span(wall.span_rows(), total_lift):
-            raise NotBalanced("refined pieces do not meet face to face")
-        weight -= dot(l_wall, total_lift)
-        if isinstance(weight, Fraction) and weight.denominator == 1:
-            weight = weight.numerator
-        if weight != 0:
-            walls.append((wall, weight))
-    return WeightedFan(t_fan.ambient, walls, dim=t_fan.dim - 1)
+    walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient,
+                       lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u),
+                       check)
+    # integral Fraction weights are stored as ints
+    return WeightedFan(t_fan.ambient, [(wall, w.numerator if w.denominator == 1 else w)
+                                       for wall, w in walls], dim=t_fan.dim - 1)
 
 
 def iterated_corner_locus(ms: Sequence[PLFunction], t_fan: WeightedFan,
                           check: bool = True) -> WeightedFan:
     """Fold corner loci left to right; an empty list returns the input.
 
-    With ``check`` on, every intermediate cycle is verified to balance, so a
-    fold that went wrong surfaces at the next step instead of propagating.
+    With ``check`` on, each step tests its input's balance at every wall it
+    visits, so a fold that went wrong surfaces at the next step instead of
+    propagating.
     """
     out = t_fan
     for m in ms:

@@ -2,8 +2,9 @@
 
 Two levels live here.  The single-step corner locus of a piecewise
 polynomial against a polynomially weighted fan implements the directional
-derivative defect wall by wall, cutting cells with
-``cones.common_refinement`` and finding walls with ``fans.group_walls``.
+derivative defect wall by wall: it cuts cells with
+``cones.common_refinement`` and leaves the walls, their lifts and the
+balance test to ``fans._wall_step``, which ``plfunc.corner_locus`` shares.
 The number δ^N(F·T)/N! for deg F = dim T is computed by a different and
 more robust route: F is expanded over a simplicial fan refining its cells
 and T into products of Courant hat functions (the piecewise linear
@@ -23,8 +24,8 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .cones import Cone, _dedupe, chamber_complex, common_refinement, overlaps
-from .fans import NotBalanced, WeightedFan, group_walls, wall_lift
-from .linalg import dot, inverse_rows, kernel_basis, sign_normalized, sublattice_index
+from .fans import WeightedFan, _wall_step
+from .linalg import dot, inverse_rows, sign_normalized, sublattice_index
 from .plfunc import PLFunction
 
 
@@ -209,48 +210,24 @@ def pp_from_pl_product(ms: Sequence[PLFunction]) -> PPFunction:
     return PPFunction(n, len(ms), cells)
 
 
-def _to_poly_weight(w, nvars):
-    return w if isinstance(w, Poly) else Poly.const(nvars, w)
-
-
 def pp_corner_locus(f: PPFunction, t_fan: WeightedFan, check: bool = True) -> WeightedFan:
     """One corner-locus step of a PP function against a weighted fan.
 
-    Weights of the result are polynomials: on a wall σ with incident refined
-    cones τ_j, the weight is Σ_j w_j·D_{ũ_j}F_{τ_j} − D_v F_σ with
-    v = Σ_j w_j·ũ_j.  Walls whose weight vanishes on their span are dropped.
+    Weights of the result are polynomials: on a wall ρ with incident refined
+    cones τ_j, the weight is Σ_j w_j·D_{ũ_j}(F_{τ_j} − F_ρ), with F_ρ the
+    piece of any one τ_j.  Walls whose weight vanishes on their span are
+    dropped.  With ``check`` on, discontinuous pieces raise NotContinuous,
+    and a wall whose weighted lifts Σ_j w_j·ũ_j leave its span (an
+    unbalanced fan, or refined pieces that do not meet face to face) raises
+    NotBalanced.
     """
     n = f.ambient
     if check and not f.check_continuity():
         raise NotContinuous("pieces disagree on a shared face")
-    seed = [(sigma, _to_poly_weight(w, n)) for sigma, w in t_fan.cones]
     pieces = [(piece, w, p) for piece, w, (p,) in
-              common_refinement(seed, [f.cells], t_fan.dim)]
-    walls = []
-    for wall, incident in group_walls(pieces).values():
-        span = wall.span_rows()
-        v_polys = [Poly(n, {}) for _ in range(n)]
-        defect = Poly(n, {})
-        for cone, w, p in incident:
-            u = wall_lift(wall, cone)
-            defect = defect + w * p.dir_deriv(u)
-            for i, ui in enumerate(u):
-                if ui:
-                    v_polys[i] = v_polys[i] + ui * w
-        if check:
-            # polynomial balancing: v must stay inside the wall's span
-            for psi in kernel_basis([list(r) for r in span], n):
-                comp = Poly(n, {})
-                for i, ci in enumerate(psi):
-                    if ci:
-                        comp = comp + ci * v_polys[i]
-                if not comp.restrict(span).is_zero():
-                    raise NotBalanced("weighted lifts leave the wall span")
-        f_wall = incident[0][2]
-        defect = defect - f_wall.dir_deriv_poly(v_polys)
-        if defect.restrict(span).is_zero():
-            continue
-        walls.append((wall, defect))
+              common_refinement(t_fan.cones, [f.cells], t_fan.dim)]
+    walls = _wall_step(pieces, n, lambda piece, first, u:
+                       piece[1] * (piece[2] - first[2]).dir_deriv(u), check)
     return WeightedFan(n, walls, dim=t_fan.dim - 1)
 
 

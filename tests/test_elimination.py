@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from cone_reference import intersect
 
 from tropeci import elimination
 from tropeci.cones import Cone, full_space
@@ -52,7 +53,7 @@ def gated_difference(m):
         half = Cone(amb, ineqs=[tuple(sign * x for x in e_t)])
         for cone, l in m.cells:
             for other, lz in flat.cells:
-                piece = half.intersect(cone).intersect(other)
+                piece = intersect(intersect(half, cone), other)
                 if piece.dim == amb:
                     diff = vsub(l, lz) if sign > 0 else (0,) * amb
                     cells.append((piece, diff))

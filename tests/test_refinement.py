@@ -2,19 +2,21 @@
 
 Each case draws random lattice polytopes in ℤ² or ℤ³ and compares a value
 computed on a common refinement of cell structures with one computed
-without it.
+without it, or checks the corner-locus wall step that runs on such a
+refinement.
 """
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropeci.cones import Cone, full_space
-from tropeci.fans import WeightedFan, fans_equal
+from tropeci.fans import NotBalanced, WeightedFan, fans_equal, is_balanced
 from tropeci.oracles import random_lattice_polytope
 from tropeci.plfunc import PLFunction, corner_locus, pl_add, pl_from_polytope
-from tropeci.ppfunc import pp_from_pl_product
+from tropeci.ppfunc import Poly, pp_corner_locus, pp_from_pl_product
 
 CASES = settings(max_examples=30)
 cases = st.tuples(st.sampled_from([2, 3]), st.integers(0, 2**32))
@@ -69,3 +71,34 @@ def test_cutting_every_cell_by_a_hyperplane_keeps_the_corner_locus(case):
     cut = pl_add(m, halves)
     space = WeightedFan(ambient, [(full_space(ambient), 1)])
     assert fans_equal(corner_locus(cut, space), corner_locus(m, space))
+
+
+@CASES
+@given(cases)
+def test_the_pl_corner_locus_is_the_pp_corner_locus_at_degree_one(case):
+    ambient, seed = case
+    (p, _), _ = _polytopes(ambient, seed)
+    m = pl_from_polytope(p)
+    space = WeightedFan(ambient, [(full_space(ambient), 1)])
+    pl = {cone.key(): Poly.const(ambient, w) for cone, w in corner_locus(m, space).cones}
+    # the whole space weighted by 1, and by the constant polynomial 1
+    for weight in (1, Poly.const(ambient, 1)):
+        pp = pp_corner_locus(pp_from_pl_product([m]),
+                             WeightedFan(ambient, [(full_space(ambient), weight)]))
+        assert {cone.key(): w for cone, w in pp.cones} == pl
+
+
+@CASES
+@given(cases)
+def test_corner_locus_rejects_an_unbalanced_cycle(case):
+    # one cone of a balanced divisor gets one more unit of weight, so the
+    # walls of that cone no longer balance
+    ambient, seed = case
+    (p, q), rng = _polytopes(ambient, seed)
+    space = WeightedFan(ambient, [(full_space(ambient), 1)])
+    cones = corner_locus(pl_from_polytope(p), space).cones
+    k = rng.randrange(len(cones))
+    bad = WeightedFan(ambient, [(c, w + (i == k)) for i, (c, w) in enumerate(cones)])
+    assert not is_balanced(bad)
+    with pytest.raises(NotBalanced):
+        corner_locus(pl_from_polytope(q), bad, check=True)
