@@ -9,13 +9,15 @@ have equal keys however they were built.
 
 Every cut of a cone by a halfspace goes through one step, :func:`_sides`,
 which carries tightness bitmasks along.  It serves the conversion
-(:func:`dual_description`), the chambers of a central arrangement
-(:func:`chamber_complex`) and :func:`_cut_cone`, which cuts a known cone,
-pointed or not, through its rays and lineality; threshold regions,
-refinement pieces and overlaps are built that way from their parents, with
-no from-scratch conversion.  Pairwise work on cell lists also lives here:
-:func:`overlaps` lists the pairs of cones that meet off the origin, and
-:func:`common_refinement` cuts tagged cones by cell lists.
+(:func:`dual_description`, which always starts from the whole space, in
+coordinates of a lattice complement of the lineality), the chambers of a
+central arrangement (:func:`chamber_complex`) and :func:`_cut_cone`, which
+cuts a known cone, pointed or not, through its rays and lineality;
+threshold regions, refinement pieces and overlaps are built that way from
+their parents, with no from-scratch conversion.  Pairwise work on cell
+lists also lives here: :func:`overlaps` lists the pairs of cones that meet
+off the origin, and :func:`common_refinement` cuts tagged cones by cell
+lists.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
-    _reduce,
-    _transpose,
     canonical_span_rows,
+    complement_basis,
     dot,
-    inverse_rows,
     is_zero,
     kernel_basis,
     primitive,
@@ -55,54 +55,31 @@ def _dedupe(vectors: Iterable[tuple]) -> list:
 
 
 def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
-    """Extreme rays and lineality of {x : a·x ≥ 0 ∀a ∈ ineqs, e·x = 0 ∀e ∈ eqs}."""
+    """Extreme rays and lineality of {x : a·x ≥ 0 ∀a ∈ ineqs, e·x = 0 ∀e ∈ eqs}.
+
+    The lineality is the kernel of all the constraints.  The pointed part is
+    converted in coordinates of a lattice complement of the lineality: the
+    whole of that space is cut by one constraint after another with
+    :func:`_sides`, each equation as two opposite halfspaces, and the rays
+    are mapped back and made primitive.
+    """
     ineqs = _dedupe(tuple(a) for a in ineqs if not is_zero(a))
     eqs = [tuple(e) for e in eqs if not is_zero(e)]
-    constraints = ineqs + eqs
-    lin = kernel_basis(constraints, ambient) if constraints else \
-        [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    if len(lin) == ambient or not constraints:
+    lin = kernel_basis(ineqs + eqs, ambient)
+    if len(lin) == ambient:
         return [], lin
-
-    # work in coordinates of a lattice complement of the lineality space
-    if lin:
-        from .linalg import complement_basis
-        w = complement_basis(lin)
-    else:
-        w = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    m = len(w)
-    rows = [tuple(dot(a, wi) for wi in w) for a in ineqs]
-    rows += [tuple(dot(e, wi) for wi in w) for e in eqs]
-    rows += [vneg(r) for r in rows[len(ineqs):]]  # equations as opposite pairs
-    rows = [r for r in rows if not is_zero(r)]
-
-    # initial simplicial cone from the first independent rows: the pivot
-    # columns of the transposed rows
-    base_idx = _reduce(_transpose(rows, m))[1]
-    if len(base_idx) < m:  # cannot happen: lineality was fully removed
-        raise AssertionError("pointed part is not pointed")
-    base = [rows[i] for i in base_idx]
-
-    order = base_idx + [i for i in range(len(rows)) if i not in base_idx]
-    inv_mat, _ = inverse_rows(base)
-    rays, masks = [], []
-    for j in range(m):
-        r = primitive(tuple(row[j] for row in inv_mat))
-        mask = 0
-        for b, row in enumerate(base):
-            if dot(row, r) == 0:
-                mask |= 1 << b
-        rays.append(r)
-        masks.append(mask)
-
-    for step in range(m, len(order)):
-        rays, masks, _, _ = _sides(rays, masks, [], rows[order[step]], 1 << step)[0]
-
-    out = []
-    for r in rays:
-        x = tuple(sum(r[i] * w[i][j] for i in range(m)) for j in range(ambient))
-        out.append(primitive(x))
+    w = complement_basis(lin) if lin else _standard_basis(ambient)
+    rows = [tuple(dot(a, wi) for wi in w) for a in ineqs + eqs]
+    rays, masks, cut_lin = [], [], _standard_basis(len(w))
+    for step, a in enumerate(rows + [vneg(r) for r in rows[len(ineqs):]]):
+        rays, masks, cut_lin, _ = _sides(rays, masks, cut_lin, a, 1 << step)[0]
+    out = [primitive(tuple(sum(c * wi[j] for c, wi in zip(r, w)) for j in range(ambient)))
+           for r in rays]
     return sorted(_dedupe(out)), lin
+
+
+def _standard_basis(n: int) -> list:
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
 
 def _cut(rays, masks, vals, bit):
@@ -437,8 +414,8 @@ def overlaps(cones: Sequence) -> Iterator:
 
 
 def full_space(ambient: int) -> Cone:
-    basis = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    return Cone(ambient, rays=[], lineality=basis, ineqs=[], _trusted=True)
+    return Cone(ambient, rays=[], lineality=_standard_basis(ambient), ineqs=[],
+                _trusted=True)
 
 
 def origin_cone(ambient: int) -> Cone:
@@ -458,8 +435,7 @@ def chamber_complex(normals: Sequence, ambient: int) -> list[Cone]:
     inequalities are the normals, each signed to be nonnegative on it; zero
     normals cut nothing.
     """
-    basis = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-    cells = [([], [], basis, [])]
+    cells = [([], [], _standard_basis(ambient), [])]
     for step, h in enumerate(normals):
         h = tuple(h)
         if not any(h):

@@ -153,10 +153,14 @@ def check_fan_structure(fan: WeightedFan) -> None:
             raise NotAFan(f"cones {i} and {j} overlap without a common face")
 
 
-def is_balanced(fan: WeightedFan, check_fan: bool = True) -> bool:
-    """Weighted balancing test around every codimension-one wall."""
-    if check_fan:
-        check_fan_structure(fan)
+def is_balanced(fan: WeightedFan) -> bool:
+    """Weighted balancing test around every codimension-one wall.
+
+    The fan structure is always tested first (:func:`check_fan_structure`,
+    which raises NotAFan); then the balance test of :func:`_wall_step`
+    decides.
+    """
+    check_fan_structure(fan)
     try:
         _wall_step(fan.cones, fan.ambient, lambda *_: 0)
     except NotBalanced:
@@ -169,29 +173,28 @@ def _vanishes(x, span) -> bool:
     return x == 0 if isinstance(x, (int, Fraction)) else x.restrict(span).is_zero()
 
 
-def _wall_step(pieces: Sequence, ambient: int, term, check: bool = True) -> list:
+def _wall_step(pieces: Sequence, ambient: int, term) -> list:
     """(wall, weight) over the walls of weighted pieces: one corner-locus step.
 
     Pieces are tuples (cone, weight, ...) with number or ``Poly`` weights, and
     they must meet face to face: walls are their cones' facets matched by key.
     Wall ρ weighs Σ_j ``term(τ_j, τ_0, ũ_j)`` over its incident pieces τ_j, τ_0
     the first, with lifts ũ_j = ``wall_lift(ρ, τ_j)``, and is dropped when that
-    vanishes on span ρ.  With ``check``, a Σ_j w_j·ũ_j outside span ρ raises
-    NotBalanced: the cycle is unbalanced at ρ, or a piece is subdivided
-    differently from its neighbour.
+    vanishes on span ρ.  Every wall is tested for balance first: a Σ_j w_j·ũ_j
+    outside span ρ raises NotBalanced, because the cycle is unbalanced at ρ or
+    a piece is subdivided differently from its neighbour.
     """
     out = []
     for wall, incident in group_walls(pieces).values():
         span = wall.span_rows()
         lifts = [wall_lift(wall, piece[0]) for piece in incident]
-        if check:
-            total = (0,) * ambient
-            for piece, u in zip(incident, lifts):
-                total = vadd(total, vscale(piece[1], u))
-            if not all(_vanishes(dot(psi, total), span)
-                       for psi in kernel_basis(span, ambient)):
-                raise NotBalanced("weighted lifts leave the span of a wall: the cycle "
-                                  "is unbalanced or its pieces do not meet face to face")
+        total = (0,) * ambient
+        for piece, u in zip(incident, lifts):
+            total = vadd(total, vscale(piece[1], u))
+        if not all(_vanishes(dot(psi, total), span)
+                   for psi in kernel_basis(span, ambient)):
+            raise NotBalanced("weighted lifts leave the span of a wall: the cycle "
+                              "is unbalanced or its pieces do not meet face to face")
         weight = sum(term(piece, incident[0], u) for piece, u in zip(incident, lifts))
         if not _vanishes(weight, span):
             out.append((wall, weight))
@@ -231,23 +234,9 @@ def _span_coords_cone(cone: Cone, basis) -> Cone:
 def is_zero_cycle(pairs: Sequence, ambient: int) -> bool:
     """Whether a formal sum of weighted cones is zero as a cycle.
 
-    Cones are grouped by linear span, each group is refined by the
-    arrangement of all facet hyperplanes within the span, and every chamber
-    must receive total weight zero.
+    It is zero when :func:`_refine_to_fan` leaves no cell of nonzero weight.
     """
-    pairs = [(c, w) for c, w in pairs if w != 0]
-    if not pairs:
-        return True
-    for key, members in _group_by_span(pairs).items():
-        if not key:
-            # zero-dimensional cones: weights at the origin must cancel
-            if sum(w for _, w in members) != 0:
-                return False
-            continue
-        basis = saturation_basis([list(r) for r in key])
-        if any(total != 0 for _, total in _chamber_totals(members, basis)):
-            return False
-    return True
+    return not _refine_to_fan(pairs, ambient)
 
 
 def fans_equal(a: WeightedFan, b: WeightedFan) -> bool:
@@ -292,10 +281,10 @@ def pushforward(fan: WeightedFan, rows: Sequence) -> WeightedFan:
         img = Cone(m, rays=[apply_matrix(rows, r) for r in cone.rays],
                    lineality=[apply_matrix(rows, l) for l in cone.lineality])
         images.append((img, w * idx))
-    return WeightedFan(m, _refine_to_fan(images, m, fan.dim), dim=fan.dim)
+    return WeightedFan(m, _refine_to_fan(images, m), dim=fan.dim)
 
 
-def _chamber_totals(members: Sequence, basis, extra_normals=()):
+def _chamber_totals(members: Sequence, basis, extra_normals):
     """(chamber, total weight) over the chambers of one span group.
 
     The members' cones, all spanning the lattice with the given basis, are
@@ -330,8 +319,11 @@ def _cross_span_normals(key_i, key_j, basis_i, ambient: int):
     return out
 
 
-def _refine_to_fan(images: Sequence, ambient: int, dim: int) -> list:
-    """Refine overlapping weighted cones into face-to-face cells per span."""
+def _refine_to_fan(images: Sequence, ambient: int) -> list:
+    """Refine overlapping weighted cones into face-to-face cells per span.
+
+    Returns (cell, total weight) for the cells of nonzero total weight only.
+    """
     groups = _group_by_span(images)
     keys = list(groups)
     out = []
@@ -368,18 +360,17 @@ def consolidate(pairs: Sequence, ambient: int, dim: int) -> WeightedFan:
     arrangement of every inequality occurring in it, weights are summed
     chamber by chamber, and cancelled pieces drop out.
     """
-    return WeightedFan(ambient, _refine_to_fan(list(pairs), ambient, dim),
-                       dim=dim)
+    return WeightedFan(ambient, _refine_to_fan(list(pairs), ambient), dim=dim)
 
 
-def stable_intersection_number(t_fan: WeightedFan, f_fan: WeightedFan,
-                               seed: int = 0) -> int:
+def stable_intersection_number(t_fan: WeightedFan, f_fan: WeightedFan) -> int:
     """Degree of the stable intersection of two complementary-dimension fans.
 
     The second fan is displaced by a generically chosen vector; pairs of
     cones meeting transversally in single relative-interior points contribute
     the product of their weights times the index of the sum of their span
-    lattices.  Displacements are resampled until every incidence is generic.
+    lattices.  Displacements are drawn from ``Random(0)``, so the number is
+    reproducible, and resampled until every incidence is generic.
     """
     n = t_fan.ambient
     if f_fan.ambient != n:
@@ -389,7 +380,7 @@ def stable_intersection_number(t_fan: WeightedFan, f_fan: WeightedFan,
     if t_fan.dim + f_fan.dim != n:
         raise NotComplementary(
             f"dimensions {t_fan.dim} + {f_fan.dim} do not sum to {n}")
-    rng = Random(seed)
+    rng = Random(0)
     for attempt in range(64):
         radius = 611 + 97 * attempt
         v = tuple(rng.randint(-radius, radius) for _ in range(n))

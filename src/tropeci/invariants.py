@@ -294,7 +294,7 @@ def tropical_csm(tci: TCI) -> CharClassList:
         remaining = k - 1 - i
         current = fan
         for _ in range(n - degree - remaining):
-            current = corner_locus(tci.functions[i], current, check=False)
+            current = corner_locus(tci.functions[i], current)
             if current.is_zero():
                 break
             degree += 1

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cones import _cut_cone, full_space
-from .fans import WeightedFan
+from .fans import NotBalanced, WeightedFan, fans_equal
 from .linalg import det, dot, rank as mat_rank, vsub
 from .plfunc import PLFunction, corner_locus
 
@@ -228,13 +228,17 @@ class TCI:
         return self.fans[0].ambient
 
     def check(self) -> bool:
-        """Recompute every corner locus and compare with the stored chain."""
-        from .fans import fans_equal
-        for i, m in enumerate(self.functions):
-            expected = corner_locus(m, self.fans[i], check=False)
-            if not fans_equal(expected, self.fans[i + 1]):
-                return False
-        return True
+        """Recompute every corner locus and compare with the stored chain.
+
+        A stored fan that is not balanced fails the check (NotBalanced from
+        its corner locus), as does a stored fan that differs from the
+        recomputed one.
+        """
+        try:
+            return all(fans_equal(corner_locus(m, self.fans[i]), self.fans[i + 1])
+                       for i, m in enumerate(self.functions))
+        except NotBalanced:
+            return False
 
     def __repr__(self):
         tail = f", collapsed_at={self.collapsed_at}" if self.collapsed_at else ""
@@ -326,7 +330,7 @@ def tci_from_mci(mci: MCI) -> TCI:
             covector = mci.support.point(prefix[-1])
             seen[(region.key(), covector)] = (region, covector)
         m_k = PLFunction(n, sorted(seen.values(), key=lambda cl: cl[0].key()))
-        nxt = corner_locus(m_k, fans[-1], check=True)
+        nxt = corner_locus(m_k, fans[-1])
         nxt = WeightedFan(n, sorted(nxt.cones, key=lambda cw: cw[0].key()),
                           dim=nxt.dim)
         functions.append(m_k)
@@ -346,11 +350,11 @@ def bkk_number(tci: TCI) -> int:
     return tci.fans[-1].weight_of_point((0,) * tci.ambient)
 
 
-def classical_mci(supports: Sequence[Sequence], codim: int | None = None) -> MCI:
+def classical_mci(supports: Sequence[Sequence]) -> MCI:
     """MCI of a classical system: block i contributes parallel columns e_i.
 
     Supports are lists of lattice points; ids are "i:j" for point j of
-    block i.  The default codimension is the number of blocks.
+    block i.  The codimension is the number of blocks.
     """
     k = len(supports)
     points = []
@@ -360,5 +364,4 @@ def classical_mci(supports: Sequence[Sequence], codim: int | None = None) -> MCI
             ident = f"{i}:{j}"
             points.append((ident, tuple(p)))
             columns[ident] = tuple(1 if t == i else 0 for t in range(k))
-    return MCI(SupportMultiset(points), Matroid.from_matrix(columns),
-               k if codim is None else codim)
+    return MCI(SupportMultiset(points), Matroid.from_matrix(columns), k)

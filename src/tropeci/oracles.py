@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: direct formulas and brute-force
 enumeration, kept apart from the main algorithms so that the two routes can
-disagree loudly when one of them is wrong.  sympy is imported lazily; it is
-only needed for the resultant oracles.
+disagree loudly when one of them is wrong.  sympy is imported lazily; only
+the one resultant oracle, :func:`shifted_resultant_support`, needs it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "mixed_volume_ie",
     "pick_normalized_area",
     "boundary_lattice_points",
-    "resultant_support",
     "hull_sign_changes",
     "random_lattice_polytope",
 ]
@@ -39,26 +38,6 @@ def pick_normalized_area(poly: LatticePolytope) -> int:
     b = boundary_lattice_points(poly)
     i = poly.n_lattice_points() - b
     return 2 * i + b - 2
-
-
-def resultant_support(f: dict, g: dict, eliminate: int = 0) -> list:
-    """Exponent support of the Sylvester resultant of two bivariate polynomials.
-
-    ``f`` and ``g`` map (i, j) exponent pairs to integer coefficients; the
-    variable with index ``eliminate`` is removed and the support of the
-    resulting univariate polynomial is returned as a sorted list of exponents.
-    """
-    import sympy
-
-    x, y = sympy.symbols("x0 x1")
-    vs = (x, y)
-
-    def build(h):
-        return sum(c * x**i * y**j for (i, j), c in h.items())
-
-    res = sympy.resultant(build(f), build(g), vs[eliminate])
-    res = sympy.Poly(sympy.expand(res), vs[1 - eliminate])
-    return sorted(m[0] for m in res.monoms() if res.coeff_monomial(m) != 0)
 
 
 def shifted_resultant_support(deg_f: int, deg_g: int) -> list:

@@ -53,15 +53,21 @@ class PLFunction:
                           [(cone, vscale(c, l)) for cone, l in self.cells])
 
     def check_continuity(self) -> bool:
-        cells = self.cells
-        for i, j, inter in overlaps([c for c, _ in cells]):
-            diff = vsub(cells[i][1], cells[j][1])
-            if any(dot(diff, b) != 0 for b in inter.span_rows()):
-                return False
-        return True
+        return _agree_on_overlaps(
+            self.cells, lambda l, m, span: all(dot(vsub(l, m), b) == 0 for b in span))
 
     def __repr__(self):
         return f"PLFunction(ambient={self.ambient}, ncells={len(self.cells)})"
+
+
+def _agree_on_overlaps(cells: Sequence, agree) -> bool:
+    """Whether ``agree(f, g, span)`` holds wherever two cells meet off the origin.
+
+    ``cells`` are (cone, function) pairs; f and g are the functions of two
+    overlapping cells and ``span`` the span rows of their overlap.
+    """
+    return all(agree(cells[i][1], cells[j][1], inter.span_rows())
+               for i, j, inter in overlaps([c for c, _ in cells]))
 
 
 def pl_from_polytope(poly: LatticePolytope) -> PLFunction:
@@ -112,7 +118,7 @@ def refine_with_function(t_fan: WeightedFan, m: PLFunction) -> list:
             common_refinement(t_fan.cones, [m.cells], t_fan.dim)]
 
 
-def corner_locus(m: PLFunction, t_fan: WeightedFan, check: bool = True) -> WeightedFan:
+def corner_locus(m: PLFunction, t_fan: WeightedFan) -> WeightedFan:
     """Weighted corner locus of m along a balanced cycle.
 
     Walls are the codimension-one faces of the refinement of the cycle by the
@@ -121,33 +127,31 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan, check: bool = True) -> Weigh
     ℓ_ρ is any one of the ℓ_j (they agree on span ρ).
 
     Walls are matched by their face keys, so the refined pieces must meet
-    face to face.  With ``check`` on, a wall whose weighted lifts leave its
-    span raises NotBalanced instead of returning a wrong cycle: the cycle is
-    unbalanced there, or a piece is subdivided differently from its
-    neighbour.  Cell structures cut from a common arrangement always meet
-    face to face.
+    face to face.  Every wall is tested for balance: one whose weighted lifts
+    leave its span raises NotBalanced instead of returning a wrong cycle,
+    because the cycle is unbalanced there or a piece is subdivided
+    differently from its neighbour.  Cell structures cut from a common
+    arrangement always meet face to face.
     """
     if t_fan.is_zero():
         return WeightedFan(t_fan.ambient, [], dim=max(t_fan.dim - 1, -1))
     walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient,
-                       lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u),
-                       check)
+                       lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u))
     # integral Fraction weights are stored as ints
     return WeightedFan(t_fan.ambient, [(wall, w.numerator if w.denominator == 1 else w)
                                        for wall, w in walls], dim=t_fan.dim - 1)
 
 
-def iterated_corner_locus(ms: Sequence[PLFunction], t_fan: WeightedFan,
-                          check: bool = True) -> WeightedFan:
+def iterated_corner_locus(ms: Sequence[PLFunction], t_fan: WeightedFan) -> WeightedFan:
     """Fold corner loci left to right; an empty list returns the input.
 
-    With ``check`` on, each step tests its input's balance at every wall it
-    visits, so a fold that went wrong surfaces at the next step instead of
+    Each step tests its input's balance at every wall it visits, so a fold
+    that went wrong raises NotBalanced at the next step instead of
     propagating.
     """
     out = t_fan
     for m in ms:
-        out = corner_locus(m, out, check=check)
+        out = corner_locus(m, out)
     return out
 
 

@@ -23,10 +23,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, _dedupe, chamber_complex, common_refinement, overlaps
+from .cones import Cone, _dedupe, chamber_complex, common_refinement
 from .fans import WeightedFan, _wall_step
 from .linalg import dot, inverse_rows, sign_normalized, sublattice_index
-from .plfunc import PLFunction
+from .plfunc import PLFunction, _agree_on_overlaps
 
 
 class NotContinuous(ValueError):
@@ -187,12 +187,8 @@ class PPFunction:
         raise ValueError(f"point {x} outside the domain")
 
     def check_continuity(self) -> bool:
-        cells = self.cells
-        for i, j, inter in overlaps([c for c, _ in cells]):
-            diff = cells[i][1] - cells[j][1]
-            if not diff.restrict(inter.span_rows()).is_zero():
-                return False
-        return True
+        return _agree_on_overlaps(
+            self.cells, lambda p, q, span: (p - q).restrict(span).is_zero())
 
     def __repr__(self):
         return (f"PPFunction(ambient={self.ambient}, degree={self.degree}, "
@@ -210,24 +206,24 @@ def pp_from_pl_product(ms: Sequence[PLFunction]) -> PPFunction:
     return PPFunction(n, len(ms), cells)
 
 
-def pp_corner_locus(f: PPFunction, t_fan: WeightedFan, check: bool = True) -> WeightedFan:
+def pp_corner_locus(f: PPFunction, t_fan: WeightedFan) -> WeightedFan:
     """One corner-locus step of a PP function against a weighted fan.
 
     Weights of the result are polynomials: on a wall ρ with incident refined
     cones τ_j, the weight is Σ_j w_j·D_{ũ_j}(F_{τ_j} − F_ρ), with F_ρ the
     piece of any one τ_j.  Walls whose weight vanishes on their span are
-    dropped.  With ``check`` on, discontinuous pieces raise NotContinuous,
-    and a wall whose weighted lifts Σ_j w_j·ũ_j leave its span (an
-    unbalanced fan, or refined pieces that do not meet face to face) raises
-    NotBalanced.
+    dropped.  Both inputs are always tested: discontinuous pieces raise
+    NotContinuous, and a wall whose weighted lifts Σ_j w_j·ũ_j leave its span
+    (an unbalanced fan, or refined pieces that do not meet face to face)
+    raises NotBalanced.
     """
     n = f.ambient
-    if check and not f.check_continuity():
+    if not f.check_continuity():
         raise NotContinuous("pieces disagree on a shared face")
     pieces = [(piece, w, p) for piece, w, (p,) in
               common_refinement(t_fan.cones, [f.cells], t_fan.dim)]
     walls = _wall_step(pieces, n, lambda piece, first, u:
-                       piece[1] * (piece[2] - first[2]).dir_deriv(u), check)
+                       piece[1] * (piece[2] - first[2]).dir_deriv(u))
     return WeightedFan(n, walls, dim=t_fan.dim - 1)
 
 

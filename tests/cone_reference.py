@@ -1,5 +1,8 @@
 """Reference cone operations that the package's own cuts are tested against."""
 
+from itertools import combinations
+from math import gcd
+
 from tropeci.cones import Cone
 
 
@@ -11,3 +14,37 @@ def intersect(a: Cone, b: Cone) -> Cone:
     """
     return Cone(a.ambient, ineqs=list(a.ineqs) + list(b.ineqs),
                 eqs=list(a.eqs) + list(b.eqs))
+
+
+def _det(rows) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def extreme_rays(ineqs, eqs, n: int) -> list:
+    """Extreme rays of the pointed cone {a·x ≥ 0, e·x = 0} in ℤ^n by brute force.
+
+    An extreme ray spans the kernel line of the constraints tight on it, a
+    set of rank n − 1, and so of some n − 1 independent constraints among
+    them.  Every n − 1 constraints of rank n − 1 give a candidate line, their
+    vector of signed maximal minors; it is kept with the sign that satisfies
+    every constraint, made primitive.  Shares no code with the conversion.
+    """
+    ineqs, eqs = [tuple(a) for a in ineqs], [tuple(e) for e in eqs]
+
+    def dot(u, v):
+        return sum(p * q for p, q in zip(u, v))
+
+    out = set()
+    for rows in combinations(ineqs + eqs, n - 1):
+        line = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(n)]
+        g = gcd(*line)
+        if g == 0:  # the n − 1 rows are dependent
+            continue
+        for x in (tuple(c // g for c in line), tuple(-c // g for c in line)):
+            if all(dot(a, x) >= 0 for a in ineqs) and all(dot(e, x) == 0 for e in eqs):
+                out.add(x)
+    return sorted(out)

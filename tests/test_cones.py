@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from cone_reference import intersect
+from cone_reference import extreme_rays, intersect
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,7 @@ from tropeci.cones import (
     full_space,
     overlaps,
 )
-from tropeci.linalg import canonical_span_rows, dot, rank, vadd, vneg, vscale
+from tropeci.linalg import canonical_span_rows, dot, kernel_basis, rank, vadd, vneg, vscale
 
 
 def test_orthant_two_ways():
@@ -166,6 +166,32 @@ def test_chambers_match_a_fresh_conversion_of_their_signed_normals(case):
         assert ineqs == sorted(set(signed))
         for r, mk in zip(cell.rays, cell._tight_masks()):
             assert mk == sum(1 << i for i, h in enumerate(ineqs) if dot(h, r) == 0)
+
+
+@st.composite
+def pointed_cones(draw):
+    """Up to 8 inequalities and at most one equation of a pointed cone in ℤ³
+    or ℤ⁴, all holding at a drawn point p ≠ 0, which the cone thus contains."""
+    n = draw(st.sampled_from([3, 4]))
+    vec = st.tuples(*[st.integers(-3, 3)] * n)
+    p = draw(vec.filter(any))
+    ineqs = [a if dot(a, p) >= 0 else vneg(a)
+             for a in draw(st.lists(vec, min_size=1, max_size=8))]
+    eqs = []
+    if draw(st.booleans()):
+        e = (0,) * n
+        for k in kernel_basis([p], n):
+            e = vadd(e, vscale(draw(st.integers(-2, 2)), k))
+        eqs.append(e)
+    assume(rank(ineqs + eqs) == n)
+    return n, ineqs, eqs
+
+
+@settings(max_examples=30)
+@given(pointed_cones())
+def test_conversion_matches_brute_force_extreme_rays(case):
+    n, ineqs, eqs = case
+    assert dual_description(ineqs, eqs, n) == (extreme_rays(ineqs, eqs, n), [])
 
 
 def test_overlaps_skips_pairs_meeting_only_at_the_origin():

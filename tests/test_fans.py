@@ -140,7 +140,7 @@ def test_pushforward_output_balanced():
         poly = random_lattice_polytope(rng, 2, 5)
         fan = curve_fan(poly)
         img = pushforward(fan, [[1, 0]])
-        assert is_balanced(img, check_fan=False)
+        assert is_balanced(img)
 
 
 def test_stable_intersection_two_lines():

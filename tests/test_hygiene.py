@@ -2,8 +2,8 @@
 
 The benchmark's tracer wraps functions by module and attribute name, so a
 rename inside ``tropeci`` would only surface in a slow benchmark run; and
-with no linter installed, unused imports and private helpers that nothing
-calls any more would pile up unnoticed.
+with no linter installed, unused imports, private helpers that nothing
+calls any more and options that no caller sets would pile up unnoticed.
 """
 
 import ast
@@ -149,3 +149,67 @@ def test_every_slot_is_read_somewhere():
     readers = {str(p): p.read_text()
                for d in ("tests", "bench") for p in sorted((ROOT / d).glob("*.py"))}
     assert _unread_slots(package, readers) == []
+
+
+def _defaults(tree) -> list:
+    """(function, parameter, position, line) for every parameter with a
+    default of a module-level function; keyword-only ones have no position."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, a.arg, i, node.lineno)
+                for i, a in enumerate(positional) if i >= first]
+        out += [(node.name, a.arg, None, node.lineno)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passed(trees) -> set:
+    """(called name, position or keyword) for every argument of every call.
+
+    Calls are matched by the called name alone; after a ``*args`` any
+    position may be passed ("*"), and a ``**kwargs`` may pass any keyword.
+    """
+    out = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            for i, a in enumerate(call.args):
+                out.add((name, "*" if isinstance(a, ast.Starred) else i))
+            out.update((name, k.arg or "**") for k in call.keywords)
+    return out
+
+
+def _unused_defaults(package: dict, callers: dict) -> list:
+    passed = _passed(map(ast.parse, callers.values()))
+    out = []
+    for name, src in package.items():
+        for func, param, pos, line in _defaults(ast.parse(src)):
+            ways = {(func, param), (func, "**")}
+            if pos is not None:
+                ways |= {(func, pos), (func, "*")}
+            if not ways & passed:
+                out.append(f"{name} line {line}: {func}.{param}")
+    return sorted(out)
+
+
+def test_the_default_check_sees_an_option_that_no_call_sets():
+    package = {"a.py": "def f(x, y=1, z=2, *, k=3, m=4):\n    pass\n\n"
+                       "def g(x, y=1):\n    pass\n\n"
+                       "class C:\n    def h(self, v=0):\n        pass\n"}
+    callers = {"t.py": "f(0, 1, m=2)\ng(*[0, 1])\nC().h()\n"}
+    assert _unused_defaults(package, callers) == ["a.py line 1: f.k", "a.py line 1: f.z"]
+
+
+def test_every_default_is_passed_by_some_call():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = {str(p): p.read_text() for d in ("src/tropeci", "tests", "bench")
+               for p in sorted((ROOT / d).glob("*.py"))}
+    assert _unused_defaults(package, callers) == []

@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from tropeci import invariants
-from tropeci.cones import full_space
-from tropeci.fans import WeightedFan, fans_equal, is_balanced
+from tropeci.cones import Cone, full_space
+from tropeci.fans import NotBalanced, WeightedFan, fans_equal, is_balanced
 from tropeci.invariants import (
     GenusIndexOutOfRange,
     VirtualPolytope,
@@ -330,6 +330,18 @@ def test_csm_of_a_surface():
     assert fans_equal(csm.fan(1), tci.fans[-1])
     assert euler_from_csm(tci) == 8
     assert euler_from_csm(tci) == euler_from_genera([honest(tet)])
+
+
+def test_csm_of_an_unbalanced_chain_raises():
+    # weights 1 and 2 on the two half-planes leave the x-axis unbalanced
+    upper, lower = Cone(2, ineqs=[(0, 1)]), Cone(2, ineqs=[(0, -1)])
+    tci = TCI([WeightedFan(2, [(upper, 1), (lower, 2)]), WeightedFan(2, [], dim=1)],
+              [pl_from_polytope(triangle(1))])
+    with pytest.raises(NotBalanced):
+        tropical_csm(tci)
+    with pytest.raises(NotBalanced):
+        euler_from_csm(tci)
+    assert tci.check() is False
 
 
 def test_csm_of_collapsed_chain_vanishes():

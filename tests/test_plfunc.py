@@ -66,7 +66,7 @@ def test_corner_locus_matches_edge_oracle():
         d = corner_locus(pl_from_polytope(p), AMBIENT2)
         expected = ray_fan(polygon_curve_rays(p))
         assert fans_equal(d, expected)
-        assert is_balanced(d, check_fan=False)
+        assert is_balanced(d)
 
 
 def test_corner_locus_requires_balanced_cycle():

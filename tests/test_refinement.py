@@ -101,4 +101,4 @@ def test_corner_locus_rejects_an_unbalanced_cycle(case):
     bad = WeightedFan(ambient, [(c, w + (i == k)) for i, (c, w) in enumerate(cones)])
     assert not is_balanced(bad)
     with pytest.raises(NotBalanced):
-        corner_locus(pl_from_polytope(q), bad, check=True)
+        corner_locus(pl_from_polytope(q), bad)
