@@ -11,13 +11,14 @@ Every cut of a cone by a halfspace goes through one step, :func:`_sides`,
 which carries tightness bitmasks along.  It serves the conversion
 (:func:`dual_description`, which always starts from the whole space, in
 coordinates of a lattice complement of the lineality), the chambers of a
-central arrangement (:func:`chamber_complex`) and :func:`_cut_cone`, which
-cuts a known cone, pointed or not, through its rays and lineality;
-threshold regions, refinement pieces and overlaps are built that way from
-their parents, with no from-scratch conversion.  Pairwise work on cell
-lists also lives here: :func:`overlaps` lists the pairs of cones that meet
-off the origin, and :func:`common_refinement` cuts tagged cones by cell
-lists.
+central arrangement in a linear span, cut in place in ambient coordinates
+(:func:`_span_chambers`; :func:`chamber_complex` for the whole space), and
+:func:`_cut_cone`, which cuts a known cone, pointed or not, through its
+rays and lineality; threshold regions, refinement pieces and overlaps are
+built that way from their parents, with no from-scratch conversion.
+Pairwise work on cell lists also lives here: :func:`overlaps` lists the
+pairs of cones that meet off the origin, and :func:`common_refinement`
+cuts tagged cones by cell lists.
 """
 
 from __future__ import annotations
@@ -159,9 +160,11 @@ def _adjacent(z, i, j, masks_all) -> bool:
 class Cone:
     """Immutable rational cone; dual representations computed on demand.
 
-    With ``_trusted``, ``rays`` and ``lineality`` are taken as the exact
-    V-side, and ``ineqs`` and ``eqs``, when given too, are kept as raw
-    constraints of the same cone for the cheap tests.
+    A cone is given by generators (``rays``, ``lineality``) or by constraints
+    (``ineqs``, ``eqs``); mixing the two raises ValueError.  With
+    ``_trusted``, ``rays`` and ``lineality`` are taken as the exact V-side,
+    and ``ineqs`` and ``eqs``, when given too, are kept as raw constraints of
+    the same cone for the cheap tests.
     """
 
     __slots__ = ("ambient", "_rays", "_lin", "_ineqs", "_eqs",
@@ -175,6 +178,9 @@ class Cone:
         self._dim = self._span = self._key = self._masks = None
         if rays is None and ineqs is None:
             raise ValueError("need generators or inequalities")
+        if not _trusted and (rays is not None or lineality is not None) and \
+                (ineqs is not None or eqs is not None):
+            raise ValueError("give generators or constraints, not both")
         if rays is not None:
             read = primitive if _trusted else rational_primitive
             rays = sorted(_dedupe(read(r) for r in rays if not is_zero(r)))
@@ -186,7 +192,7 @@ class Cone:
                 hi, he = dual_description(rays, lineality, ambient)
                 self._ineqs, self._eqs = hi, he
                 self._rays, self._lin = dual_description(hi, he, ambient)
-        if ineqs is not None and (rays is None or _trusted):
+        if ineqs is not None:
             # raw constraints stay available for cheap containment tests; the
             # public H-rep is always the irredundant one derived from the rays
             self._raw_ineqs = sorted(_dedupe(tuple(a) for a in ineqs if not is_zero(a)))
@@ -418,10 +424,6 @@ def full_space(ambient: int) -> Cone:
                 _trusted=True)
 
 
-def origin_cone(ambient: int) -> Cone:
-    return Cone(ambient, rays=[], lineality=[], _trusted=True)
-
-
 # ---------------------------------------------------------------------------
 # incremental hyperplane arrangement
 
@@ -429,16 +431,28 @@ def origin_cone(ambient: int) -> Cone:
 def chamber_complex(normals: Sequence, ambient: int) -> list[Cone]:
     """All chambers of the central arrangement with the given normals.
 
-    The full space is cut by one normal after another (:func:`_sides`),
-    keeping the sides that stay full dimensional, so no chamber goes through
-    a conversion.  Each chamber is a trusted :class:`Cone` whose raw
-    inequalities are the normals, each signed to be nonnegative on it; zero
-    normals cut nothing.
+    They are the chambers of the whole space, :func:`_span_chambers` started
+    from the standard basis; zero normals cut nothing.
     """
-    cells = [([], [], _standard_basis(ambient), [])]
+    return _span_chambers(normals, _standard_basis(ambient), [], ambient)
+
+
+def _span_chambers(normals: Sequence, basis: Sequence, eqs: Sequence,
+                   ambient: int) -> list[Cone]:
+    """The chambers that the normals cut out of the span of ``basis``.
+
+    The span, the solution set of ``eqs``, is cut in place by one normal
+    after another (:func:`_sides`, from ``basis`` as the lineality), keeping
+    the sides that stay full dimensional, so no chamber goes through a
+    conversion.  A normal that vanishes on the span is skipped, because both
+    of its sides would be the whole span.  Each chamber is a trusted
+    :class:`Cone` whose raw inequalities are the normals that cut, each
+    signed to be nonnegative on it, and whose raw equations are ``eqs``.
+    """
+    cells = [([], [], list(basis), [])]
     for step, h in enumerate(normals):
         h = tuple(h)
-        if not any(h):
+        if not any(dot(h, b) for b in basis):
             continue
         nxt = []
         for rays, masks, lin, signed in cells:
@@ -446,5 +460,5 @@ def chamber_complex(normals: Sequence, ambient: int) -> list[Cone]:
             nxt += [(r, mk, l, signed + [s])
                     for (r, mk, l, whole), s in zip(sides, (h, vneg(h))) if whole]
         cells = nxt
-    return [Cone(ambient, rays=rays, lineality=lin, ineqs=signed, _trusted=True)
+    return [Cone(ambient, rays=rays, lineality=lin, ineqs=signed, eqs=eqs, _trusted=True)
             for rays, _, lin, signed in cells]

@@ -5,7 +5,10 @@ integer (occasionally rational, during intermediate computations) weights.
 The operations here treat fans as cycles: addition, equality up to
 refinement, balancing verification through quotient-lattice lifts,
 pushforward along surjective lattice maps, and stable (generically
-displaced) intersection numbers.
+displaced) intersection numbers.  All of it runs in ambient coordinates:
+a wall lift is read off the facet inequality of the cone, and the cycle
+refinement chambers each span of cones in place, so nothing is written
+in lattice coordinates of a span.
 """
 
 from __future__ import annotations
@@ -14,21 +17,19 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .cones import Cone, NotAFan, _cut_cone, chamber_complex, origin_cone, overlaps
+from .cones import Cone, NotAFan, _cut_cone, _span_chambers, overlaps
 from .linalg import (
     canonical_span_rows,
-    coordinates_in_basis,
     dot,
-    int_vector,
     kernel_basis,
     primitive,
     rank,
-    saturation_basis,
     sign_normalized,
     smith_with_basis,
     solve_dot_one,
     sublattice_index,
     vadd,
+    vneg,
     vscale,
 )
 
@@ -59,6 +60,8 @@ class WeightedFan:
         merged = {}
         order = []
         for cone, w in cones:
+            if cone.ambient != ambient:
+                raise ValueError(f"cone in ℤ^{cone.ambient}, fan in ℤ^{ambient}")
             if w == 0:
                 continue
             k = cone.key()
@@ -105,37 +108,30 @@ class WeightedFan:
         return f"WeightedFan(dim={self.dim}, ncones={len(self.cones)})"
 
 
-def _int_coords(basis, v):
-    """Integer coordinates of v in the basis; ValueError if there are none."""
-    coords = coordinates_in_basis(basis, v)
-    if coords is None:
-        raise ValueError("vector lies outside the span of the basis")
-    return int_vector(coords)
-
-
 def wall_lift(rho: Cone, tau: Cone):
     """Integer lift in span τ of the primitive generator of L_τ/L_ρ toward τ.
 
-    ρ must be a facet of τ; the returned vector ũ satisfies: ũ ∈ L_τ, the
-    class of ũ generates L_τ/L_ρ, and ũ points to the side of span ρ that
-    contains τ.
+    ρ must be a facet of τ (ValueError otherwise).  ũ ∈ L_τ, its class
+    generates L_τ/L_ρ, and it points to the side of span ρ holding τ.  A
+    constraint a ≥ 0 of τ, tight on ρ and not zero on span τ, has L_ρ as its
+    kernel on L_τ; with φ = (a·b_i) over the basis b of L_τ made primitive,
+    ũ = Σ x_i·b_i for an integer x with φ·x = 1, so a·ũ > 0.
     """
-    b_tau = tau.span_rows()
-    b_rho = rho.span_rows()
-    coords = [_int_coords(b_tau, b) for b in b_rho]
-    phis = kernel_basis(coords, len(b_tau))
-    if len(phis) != 1:
-        raise ValueError("wall is not of codimension one in the cone")
-    phi = phis[0]
-    x = solve_dot_one(phi)
-    p = tau.relint_point()
-    pc = _int_coords(b_tau, p)
-    s = dot(phi, pc)
-    if s == 0:
-        raise ValueError("cone does not leave the span of the wall")
-    if s < 0:
-        x = tuple(-t for t in x)
-    return _from_coords(x, b_tau)
+    gens = rho.rays + rho.lineality + [vneg(v) for v in rho.lineality]
+    if rho.dim != tau.dim - 1 or not all(tau.contains(g) for g in gens):
+        raise ValueError("wall is not a facet of the cone")
+    p = rho.relint_point()
+    basis = tau.span_rows()
+    for a in tau._constraints()[0]:
+        if dot(a, p) != 0:
+            continue
+        phi = [dot(a, b) for b in basis]
+        if any(phi):
+            lift = (0,) * tau.ambient
+            for c, b in zip(solve_dot_one(primitive(phi)), basis):
+                lift = vadd(lift, vscale(c, b))
+            return lift
+    raise ValueError("wall is not a facet of the cone")
 
 
 def _is_face_of(cone: Cone, sub: Cone) -> bool:
@@ -215,22 +211,6 @@ def group_walls(items: Iterable) -> dict:
     return groups
 
 
-def _group_by_span(pairs: Sequence) -> dict:
-    groups = {}
-    for cone, w in pairs:
-        gens = list(cone.rays) + list(cone.lineality)
-        key = canonical_span_rows(gens)
-        groups.setdefault(key, []).append((cone, w))
-    return groups
-
-
-def _span_coords_cone(cone: Cone, basis) -> Cone:
-    d = len(basis)
-    rays = [_int_coords(basis, r) for r in cone.rays]
-    lin = [_int_coords(basis, l) for l in cone.lineality]
-    return Cone(d, rays=rays, lineality=lin, _trusted=True)
-
-
 def is_zero_cycle(pairs: Sequence, ambient: int) -> bool:
     """Whether a formal sum of weighted cones is zero as a cycle.
 
@@ -270,6 +250,8 @@ def pushforward(fan: WeightedFan, rows: Sequence) -> WeightedFan:
     face-to-face fan before being returned.
     """
     rows = [tuple(r) for r in rows]
+    if any(len(r) != fan.ambient for r in rows):
+        raise ValueError(f"matrix rows must have length {fan.ambient}")
     m = len(rows)
     _image_lattice_check(rows, m)
     images = []
@@ -284,73 +266,38 @@ def pushforward(fan: WeightedFan, rows: Sequence) -> WeightedFan:
     return WeightedFan(m, _refine_to_fan(images, m), dim=fan.dim)
 
 
-def _chamber_totals(members: Sequence, basis, extra_normals):
-    """(chamber, total weight) over the chambers of one span group.
-
-    The members' cones, all spanning the lattice with the given basis, are
-    written in its coordinates and chambered by the arrangement of all their
-    facet normals plus ``extra_normals``; each chamber gets the total weight
-    of the members containing its interior.
-    """
-    local = [(_span_coords_cone(c, basis), w) for c, w in members]
-    normals = set(extra_normals)
-    for c, _ in local:
-        for a in c.ineqs:
-            normals.add(sign_normalized(a))
-    d = len(basis)
-    for ch in chamber_complex(sorted(normals), d):
-        p = ch.relint_point()
-        yield ch, sum(w for c, w in local if c.contains(p))
-
-
-def _cross_span_normals(key_i, key_j, basis_i, ambient: int):
-    """Normals (in span-i coordinates) of a (d−1)-dimensional span overlap."""
-    d = len(basis_i)
-    rows_i = [list(r) for r in key_i]
-    rows_j = [list(r) for r in key_j]
-    inter_dim = rank(rows_i) + rank(rows_j) - rank(rows_i + rows_j)
-    if inter_dim != d - 1:
+def _cross_span_normals(key_i, key_j, kernel_j) -> list:
+    """Span j's normals ``kernel_j`` if span j meets span i in a hyperplane of it."""
+    if rank(key_i + key_j) != len(key_j) + 1:
         return []
-    out = []
-    for nj in kernel_basis(rows_j, ambient):
-        restricted = tuple(dot(nj, b) for b in basis_i)
-        if any(restricted):
-            out.append(sign_normalized(primitive(restricted)))
-    return out
+    return [sign_normalized(n) for n in kernel_j]
 
 
 def _refine_to_fan(images: Sequence, ambient: int) -> list:
     """Refine overlapping weighted cones into face-to-face cells per span.
 
-    Returns (cell, total weight) for the cells of nonzero total weight only.
+    Each span is chambered in place, in ambient coordinates, by its members'
+    facet normals and the normals of every span that meets it in a
+    hyperplane; a chamber weighs the members containing its relative
+    interior.  Returns (cell, total weight) for nonzero totals only.
     """
-    groups = _group_by_span(images)
-    keys = list(groups)
+    groups = {}
+    for cone, w in images:
+        key = canonical_span_rows(cone.rays + cone.lineality)
+        groups.setdefault(key, []).append((cone, w))
+    kernels = {key: kernel_basis(key, ambient) for key in groups}
     out = []
-    for key in keys:
-        if not key:
-            total = sum(w for _, w in groups[key])
+    for key, members in groups.items():
+        normals = {sign_normalized(a) for c, _ in members for a in c.ineqs}
+        for other in groups:
+            if other != key:
+                normals.update(_cross_span_normals(key, other, kernels[other]))
+        for ch in _span_chambers(sorted(normals), key, kernels[key], ambient):
+            p = ch.relint_point()
+            total = sum(w for c, w in members if c.contains(p))
             if total:
-                out.append((origin_cone(ambient), total))
-            continue
-        basis = saturation_basis([list(r) for r in key])
-        cross = [nrm for other in keys if other is not key
-                 for nrm in _cross_span_normals(key, other, basis, ambient)]
-        for ch, total in _chamber_totals(groups[key], basis, cross):
-            if total == 0:
-                continue
-            amb_rays = [_from_coords(r, basis) for r in ch.rays]
-            amb_lin = [_from_coords(l, basis) for l in ch.lineality]
-            out.append((Cone(ambient, rays=amb_rays, lineality=amb_lin,
-                             _trusted=True), total))
+                out.append((ch, total))
     return out
-
-
-def _from_coords(v, basis):
-    out = [0] * len(basis[0])
-    for c, b in zip(v, basis):
-        out = vadd(out, vscale(c, b))
-    return tuple(out)
 
 
 def consolidate(pairs: Sequence, ambient: int, dim: int) -> WeightedFan:

@@ -19,8 +19,10 @@ __all__ = [
     "mixed_volume_ie",
     "pick_normalized_area",
     "boundary_lattice_points",
+    "shifted_resultant_support",
     "hull_sign_changes",
     "random_lattice_polytope",
+    "polygon_curve_rays",
 ]
 
 

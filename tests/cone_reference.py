@@ -4,6 +4,15 @@ from itertools import combinations
 from math import gcd
 
 from tropeci.cones import Cone
+from tropeci.linalg import (
+    coordinates_in_basis,
+    dot,
+    int_vector,
+    kernel_basis,
+    solve_dot_one,
+    vadd,
+    vscale,
+)
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
@@ -14,6 +23,40 @@ def intersect(a: Cone, b: Cone) -> Cone:
     """
     return Cone(a.ambient, ineqs=list(a.ineqs) + list(b.ineqs),
                 eqs=list(a.eqs) + list(b.eqs))
+
+
+def int_coords(basis, v):
+    """Integer coordinates of v in the basis; ValueError if there are none."""
+    coords = coordinates_in_basis(basis, v)
+    if coords is None:
+        raise ValueError("vector lies outside the span of the basis")
+    return int_vector(coords)
+
+
+def wall_lift(rho: Cone, tau: Cone):
+    """The lift ũ of ``fans.wall_lift`` through lattice coordinates of span τ.
+
+    The wall's span rows are written in the basis of L_τ; the primitive
+    covector φ on their kernel gives ũ = Σ x_i·b_i with φ·x = 1, its sign
+    chosen by the side of the relative-interior point of τ.  The package
+    reads φ off a facet inequality of τ instead, with no coordinates.
+    """
+    b_tau = tau.span_rows()
+    coords = [int_coords(b_tau, b) for b in rho.span_rows()]
+    phis = kernel_basis(coords, len(b_tau))
+    if len(phis) != 1:
+        raise ValueError("wall is not of codimension one in the cone")
+    phi = phis[0]
+    x = solve_dot_one(phi)
+    s = dot(phi, int_coords(b_tau, tau.relint_point()))
+    if s == 0:
+        raise ValueError("cone does not leave the span of the wall")
+    if s < 0:
+        x = tuple(-t for t in x)
+    out = (0,) * len(b_tau[0])
+    for c, b in zip(x, b_tau):
+        out = vadd(out, vscale(c, b))
+    return out
 
 
 def _det(rows) -> int:

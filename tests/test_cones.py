@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from cone_reference import extreme_rays, intersect
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from tropeci.cones import (
     Cone,
     _cut_cone,
     _sides,
+    _span_chambers,
     chamber_complex,
     common_refinement,
     dual_description,
@@ -43,6 +45,16 @@ def test_square_cone_facets():
     facets = c.facets()
     assert all(f.dim == 2 for f in facets)
     assert all(len(f.rays) == 2 for f in facets)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rays=[(1, 0), (0, 1)], ineqs=[(1, -1)]),
+    dict(rays=[(1, 0)], lineality=[(0, 1)], eqs=[(1, 0)]),
+    dict(rays=[], lineality=[(1, 1)], ineqs=[]),
+])
+def test_a_cone_takes_generators_or_constraints_not_both(kwargs):
+    with pytest.raises(ValueError):
+        Cone(2, **kwargs)
 
 
 def test_redundant_generator_dropped():
@@ -361,3 +373,10 @@ def test_keys_do_not_depend_on_ray_representatives(case):
     cone, shifted = case
     assert shifted.key() == cone.key()
     assert shifted == cone and hash(shifted) == hash(cone)
+
+
+def test_span_chambers_skip_a_normal_that_vanishes_on_the_span():
+    plane, kernel = [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)]
+    cells = _span_chambers([(0, 0, 1), (1, 0, 0), (1, 1, 1)], plane, kernel, 3)
+    assert len(cells) == 4 and len({c.key() for c in cells}) == 4
+    assert all(c.dim == 2 and c._constraints()[1] == kernel for c in cells)

@@ -1,9 +1,13 @@
 from random import Random
 
 import pytest
+from cone_reference import int_coords
+from cone_reference import wall_lift as reference_wall_lift
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropeci import fans
-from tropeci.cones import Cone, NotAFan, full_space
+from tropeci.cones import Cone, NotAFan, _cut_cone, chamber_complex, full_space
 from tropeci.fans import (
     NotComplementary,
     NotGeneric,
@@ -19,7 +23,7 @@ from tropeci.fans import (
     support_connected_off_origin,
     wall_lift,
 )
-from tropeci.fans import _int_coords
+from tropeci.linalg import canonical_span_rows, in_span, kernel_basis, vadd, vscale, vsub
 from tropeci.oracles import mixed_volume_ie, polygon_curve_rays, random_lattice_polytope
 from tropeci.polytopes import LatticePolytope
 
@@ -56,9 +60,37 @@ def test_wall_lift_rejects_a_wall_outside_the_cone_span():
 
 
 def test_span_coordinates_must_be_integral():
-    assert _int_coords([(2, 0), (0, 1)], (4, 3)) == (2, 3)
+    assert int_coords([(2, 0), (0, 1)], (4, 3)) == (2, 3)
     with pytest.raises(ValueError):
-        _int_coords([(2, 0)], (1, 0))
+        int_coords([(2, 0)], (1, 0))
+
+
+@st.composite
+def cones_with_facets(draw):
+    """A cone in ℤ³ or ℤ⁴: from generators, some with a lineality vector; cut
+    from such a cone by ``_cut_cone``; or a chamber of ``chamber_complex``.
+    The last two keep raw constraints, so their facets are read from those."""
+    n = draw(st.sampled_from([3, 4]))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    kind = draw(st.sampled_from(["generators", "cut", "chamber"]))
+    if kind == "chamber":
+        chambers = chamber_complex(draw(st.lists(vec, min_size=1, max_size=n + 2)), n)
+        return chambers[draw(st.integers(0, len(chambers) - 1))]
+    cone = Cone(n, rays=draw(st.lists(vec, min_size=1, max_size=n + 1)),
+                lineality=draw(st.lists(vec.filter(any), max_size=1)))
+    if kind == "cut":
+        cone = _cut_cone(cone, draw(st.lists(vec, max_size=2)),
+                         draw(st.lists(vec, max_size=1)), 1)
+        assume(cone is not None)
+    return cone
+
+
+@settings(max_examples=40)
+@given(cones_with_facets())
+def test_wall_lift_agrees_with_the_coordinate_lift_modulo_the_wall(tau):
+    for rho in tau.facets():
+        got = wall_lift(rho, tau)
+        assert in_span(rho.span_rows(), vsub(got, reference_wall_lift(rho, tau)))
 
 
 def test_tropical_line_is_balanced():
@@ -194,3 +226,42 @@ def test_fan_addition_and_scaling():
 def test_a_cone_with_lineality_cancels_against_its_consolidation():
     h = Cone(3, ineqs=[(1, 1, 0)])
     assert (WeightedFan(3, [(h, 1)]) + consolidate([(h, -1)], 3, 3)).is_zero()
+
+
+@st.composite
+def plane_cone_sums(draw):
+    """A formal sum of weighted 2-dimensional cones in ℤ³ lying in two or three
+    distinct planes; any two of them meet in a line."""
+    vec = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+    planes = draw(st.lists(vec, min_size=2, max_size=3,
+                           unique_by=lambda v: canonical_span_rows([v])))
+    pairs = []
+    for _ in range(draw(st.integers(2, 6))):
+        basis = kernel_basis([draw(st.sampled_from(planes))], 3)
+        gens = [vadd(vscale(draw(st.integers(-2, 2)), basis[0]),
+                     vscale(draw(st.integers(-2, 2)), basis[1])) for _ in range(3)]
+        lin = [gens.pop()] if draw(st.booleans()) and any(gens[-1]) else []
+        cone = Cone(3, rays=gens, lineality=lin)
+        assume(cone.dim == 2)
+        pairs.append((cone, draw(st.sampled_from([-2, -1, 1, 2]))))
+    return pairs
+
+
+@settings(max_examples=30)
+@given(plane_cone_sums())
+def test_consolidated_cells_carry_the_summed_input_weight(pairs):
+    fan = consolidate(pairs, 3, 2)
+    for cell, w in fan.cones:
+        p = cell.relint_point()
+        assert sum(wi for c, wi in pairs if c.contains(p)) == w
+
+
+def test_a_fan_rejects_a_cone_of_another_ambient_dimension():
+    with pytest.raises(ValueError):
+        WeightedFan(2, [(full_space(3), 1)])
+
+
+@pytest.mark.parametrize("rows", [[[1]], [[1, 0, 5]]])
+def test_pushforward_rejects_rows_of_the_wrong_width(rows):
+    with pytest.raises(ValueError):
+        pushforward(LINE, rows)

@@ -33,12 +33,37 @@ def test_every_traced_name_resolves(mod, path):
     assert callable(obj)
 
 
-def _exported(tree) -> set:
+def _exported(tree) -> set | None:
+    """The names in the module's ``__all__``, or None when it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return set(ast.literal_eval(node.value))
-    return set()
+    return None
+
+
+def _missing_from_all(source: str) -> list:
+    """Public top-level functions and classes that a module's ``__all__``
+    leaves out; none when the module has no ``__all__``."""
+    tree = ast.parse(source)
+    exported = _exported(tree)
+    if exported is None:
+        return []
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in exported)
+
+
+def test_the_export_check_sees_a_public_name_left_out():
+    source = "__all__ = ['f']\n\ndef f():\n    pass\n\ndef g():\n    pass\n\n" \
+             "def _h():\n    pass\n\nclass C:\n    pass\n"
+    assert _missing_from_all(source) == ["C", "g"]
+    assert _missing_from_all("def g():\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_public_name_is_in_all(path):
+    assert _missing_from_all(path.read_text()) == []
 
 
 def _unused_imports(source: str) -> list:
@@ -52,7 +77,7 @@ def _unused_imports(source: str) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    used |= _exported(tree)
+    used |= _exported(tree) or set()
     return sorted(f"line {line}: {name}" for name, line in imported.items()
                   if name not in used)
 
