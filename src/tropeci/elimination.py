@@ -11,7 +11,10 @@ independent ways:
   divisor;
 * **shadow**: for one kept direction ``v`` at a time, restrict the defining
   functions to the subspace spanned by the eliminated coordinates and ``v``
-  and read off a single support value as a mixed corner-locus number.
+  and read off a single support value as a mixed corner-locus number.  The
+  restricted functions are the threshold functions of the image MCI, whose
+  points are (p_elim, v·p_kept); one region walk of that MCI gives all of
+  them on one joint cell list.
 
 The projection route is the system of record; the shadow route recomputes
 individual support values and is used to cross-check the result vector by
@@ -28,8 +31,8 @@ from typing import Sequence
 
 from .cones import Cone, common_refinement, full_space
 from .fans import WeightedFan, pushforward
-from .linalg import int_vector, solve
-from .mci import MCI, TCI, tci_from_mci
+from .linalg import dot, int_vector, solve
+from .mci import MCI, TCI, SupportMultiset, _joint_threshold_cells, tci_from_mci
 from .plfunc import (PLFunction, pl_from_polytope, pullback_linear,
                      reconstruct_polytope)
 from .polytopes import LatticePolytope
@@ -46,6 +49,10 @@ class NotPrimitive(ValueError):
 
 class DegenerateEliminant(ValueError):
     """The intersection collapsed before reaching the expected codimension."""
+
+
+class MissingMCI(ValueError):
+    """The shadow route needs the MCI a threshold chain was built from."""
 
 
 class ProjectionSplit:
@@ -111,28 +118,34 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
         raise ValueError(
             f"need {amb} factors on a {amb}-dimensional space, got {len(ms)}")
     # mᵢ(x, 0) as a function of (x, t): compose with (x, t) ↦ (x, 0).
-    flat = _slice_rows(amb - 1, (0,))
-    return _shadow(ms, [pullback_linear(m, flat) for m in ms])
+    flat = [tuple(int(i == j) for j in range(amb)) for i in range(amb - 1)] \
+        + [(0,) * amb]
+    return _shadow(amb, [_one_factor(m) for m in ms],
+                   [_one_factor(pullback_linear(m, flat)) for m in ms])
 
 
-def _slice_rows(n: int, v: Sequence[int]) -> list:
-    """Rows of (x, t) ↦ (x, t·v) from ℝⁿ × ℝ to ℝⁿ × ℝ^len(v)."""
-    return [tuple(int(i == j) for j in range(n + 1)) for i in range(n)] + \
-        [(0,) * n + (x,) for x in v]
+def _one_factor(m: PLFunction) -> list:
+    return [(cone, (l,)) for cone, l in m.cells]
 
 
-def _shadow(ms: Sequence[PLFunction], zeros: Sequence[PLFunction]) -> PPFunction:
-    """``shadow_function`` of ms, given the factors mᵢ(x, 0) as ``zeros``."""
-    amb = ms[0].ambient
+def _shadow(amb: int, factors: Sequence[list], zeros: Sequence[list]) -> PPFunction:
+    """``shadow_function`` from cell lists whose cells carry covector tuples.
+
+    The cell lists of ``factors`` carry the covectors of the mᵢ(x, t), those
+    of ``zeros`` the covectors of the mᵢ(x, 0), each list one or more of
+    the factors; the upper half-space is cut by all of them, the lower one
+    by ``factors`` alone.
+    """
     e_t = (0,) * (amb - 1) + (1,)
     cells = []
     upper = [(Cone(amb, ineqs=[e_t]), None)]
-    for cone, _, ls in common_refinement(upper, [m.cells for m in [*ms, *zeros]], amb):
-        cells.append((cone, Poly.linear_product(amb, ls[:amb])
-                      - Poly.linear_product(amb, ls[amb:])))
+    k = len(factors)
+    for cone, _, ls in common_refinement(upper, [*factors, *zeros], amb):
+        cells.append((cone, Poly.linear_product(amb, [l for t in ls[:k] for l in t])
+                      - Poly.linear_product(amb, [l for t in ls[k:] for l in t])))
     neg = tuple(-x for x in e_t)
     lower = [(Cone(amb, ineqs=[neg]), None)]
-    for cone, _, _ in common_refinement(lower, [m.cells for m in ms], amb):
+    for cone, _, _ in common_refinement(lower, factors, amb):
         cells.append((cone, Poly(amb, {})))
     return PPFunction(amb, amb, cells)
 
@@ -164,7 +177,9 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
     functions are restricted to the subspace spanned by the eliminated
     coordinates and the ray through ``v`` — a saturated sublattice, since
     ``v`` is primitive — and the restricted system's mixed corner-locus
-    number is the requested value.
+    number is the requested value.  The restrictions are read from the
+    chain's MCI (see ``_support_values``), so a chain built by hand, which
+    has none, raises MissingMCI.
     """
     v = int_vector(v)
     if not v or gcd(*v) != 1:
@@ -178,19 +193,37 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
     if tci.collapsed_at is not None:
         raise DegenerateEliminant(
             f"intersection collapsed after step {tci.collapsed_at}")
-    return next(_support_values(tci, [v], n))
+    if tci.mci is None:
+        raise MissingMCI("the chain carries no MCI; build it with tci_from_mci")
+    return next(_support_values(tci.mci, [v], n))
 
 
-def _support_values(tci: TCI, vs: Sequence[tuple], n: int):
+def _image_mci(mci: MCI, n: int, v: Sequence[int]) -> MCI:
+    """The MCI of the points (p_elim, v·p_kept) ∈ ℤⁿ⁺¹, same matroid and codim.
+
+    ``tci_threshold`` reads l·p and (x, t·v)·p = (x, t)·(p_elim, v·p_kept),
+    so its k-th threshold function is the k-th one of ``mci`` pulled back
+    along (x, t) ↦ (x, t·v).  The loops that ``MCI`` dropped from the
+    support are still in the matroid's ground; they get the origin as a
+    point and are dropped again.
+    """
+    points = [(i, p[:n] + (dot(v, p[n:]),)) for i, p in mci.support.points]
+    points += [(i, (0,) * (n + 1)) for i in mci.loops]
+    return MCI(SupportMultiset(points), mci.matroid, mci.codim)
+
+
+def _support_values(mci: MCI, vs: Sequence[tuple], n: int):
     """``eliminant_support_value`` at checked directions with n eliminated
-    coordinates.  The factors mᵢ(x, 0) are pulled back once, along
-    (x, t) ↦ (x, t·v) ↦ (x, 0), which does not depend on v."""
-    flat = _slice_rows(n, (0,) * (tci.fans[0].ambient - n))
-    zeros = [pullback_linear(m, flat) for m in tci.functions]
+    coordinates.
+
+    For each direction v one region walk of the image MCI at v gives the
+    restricted factors mᵢ(x, t) on one joint cell list; the factors
+    mᵢ(x, 0) are the image MCI at v = 0, walked once for all directions.
+    """
+    zeros = _joint_threshold_cells(_image_mci(mci, n, (0,) * (mci.ambient - n)))
     for v in vs:
-        rows = _slice_rows(n, v)
-        yield _shadow_number(_shadow([pullback_linear(m, rows) for m in tci.functions],
-                                     zeros))
+        factors = _joint_threshold_cells(_image_mci(mci, n, v))
+        yield _shadow_number(_shadow(n + 1, [factors], [zeros]))
 
 
 def tropical_eliminant(t_last: WeightedFan,
@@ -249,7 +282,7 @@ def eliminant_polytope(mci: MCI, split: ProjectionSplit,
     support_values = {r: poly.support(r) for r in rays}
     route = "projection"
     if verify_shadow:
-        values = _support_values(tci, rays, split.eliminated)
+        values = _support_values(mci, rays, split.eliminated)
         diffs = [x - support_values[r] for r, x in zip(rays, values)]
         if rays and solve([list(r) for r in rays], diffs) is None:
             raise InternalError(

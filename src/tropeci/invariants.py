@@ -36,10 +36,12 @@ class VirtualPolytope:
 
     Two pairs represent the same virtual polytope exactly when the cross
     Minkowski sums agree; ``equivalent`` tests that directly.  ``minus``
-    defaults to a point, which embeds honest polytopes.
+    defaults to a point, which embeds honest polytopes.  Each object keeps
+    its dilates and its count valuation once computed, so the genera of one
+    object share them.
     """
 
-    __slots__ = ("plus", "minus")
+    __slots__ = ("plus", "minus", "_dilates", "_count")
 
     def __init__(self, plus: LatticePolytope, minus: LatticePolytope | None = None):
         if minus is None:
@@ -48,13 +50,18 @@ class VirtualPolytope:
             raise ValueError("plus and minus parts live in different lattices")
         self.plus = plus
         self.minus = minus
+        self._dilates = {}
+        self._count = None
 
     @property
     def ambient(self) -> int:
         return self.plus.ambient
 
     def dilate(self, t: int) -> "VirtualPolytope":
-        return VirtualPolytope(self.plus.dilate(t), self.minus.dilate(t))
+        if t not in self._dilates:
+            self._dilates[t] = VirtualPolytope(self.plus.dilate(t),
+                                               self.minus.dilate(t))
+        return self._dilates[t]
 
     def __add__(self, other: "VirtualPolytope") -> "VirtualPolytope":
         return VirtualPolytope(self.plus.minkowski_sum(other.plus),
@@ -137,7 +144,9 @@ def count_valuation(m: VirtualPolytope) -> int:
     is a point, and in general is the value at dilation -1 of the
     polynomial extension of t -> #(plus + t·minus).
     """
-    return sum(c * p.n_lattice_points() for c, p in val_decompose(m).terms)
+    if m._count is None:
+        m._count = sum(c * p.n_lattice_points() for c, p in val_decompose(m).terms)
+    return m._count
 
 
 def volume_valuation(m: VirtualPolytope) -> int:
@@ -160,6 +169,11 @@ def _compositions(total: int, parts: int):
 
 
 def _scaled_sum(ms, coeffs) -> VirtualPolytope:
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    if len(nonzero) <= 1:
+        # c·mᵢ is a dilate that mᵢ keeps, and the origin is 0·m₀
+        i = nonzero[0] if nonzero else 0
+        return ms[i].dilate(coeffs[i])
     n = ms[0].ambient
     out = VirtualPolytope(_origin(n), _origin(n))
     for m, c in zip(ms, coeffs):

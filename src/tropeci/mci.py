@@ -8,8 +8,9 @@ is its parent region cut by the new halfspaces p_a − p_b ≥ 0 through the
 parent's extreme rays, so no region is converted from scratch.  On the
 region of a length-k prefix the k-th threshold function is linear, so the
 regions of each length give that piecewise-linear function, which is folded
-through the corner locus.  The weight of the final zero-dimensional fan is the
-generalized BKK number.
+through the corner locus; the regions of full length carry all of them at
+once (``_joint_threshold_cells``).  The weight of the final zero-dimensional
+fan is the generalized BKK number.
 """
 
 from __future__ import annotations
@@ -212,9 +213,15 @@ class MCI:
 
 
 class TCI:
-    """Chain of weighted fans cut out by successive threshold functions."""
+    """Chain of weighted fans cut out by successive threshold functions.
 
-    __slots__ = ("fans", "functions", "codim", "collapsed_at")
+    ``mci`` is the MCI the chain was built from, set by :func:`tci_from_mci`
+    and None on a chain built by hand.  The shadow route of ``elimination``
+    restricts the threshold functions by walking the regions of an image of
+    that MCI, so it raises ``MissingMCI`` on a chain without one.
+    """
+
+    __slots__ = ("fans", "functions", "codim", "collapsed_at", "mci")
 
     def __init__(self, fans: Sequence[WeightedFan], functions: Sequence[PLFunction],
                  codim: int | None = None, collapsed_at: int | None = None):
@@ -222,6 +229,7 @@ class TCI:
         self.functions = list(functions)
         self.codim = len(self.functions) if codim is None else codim
         self.collapsed_at = collapsed_at
+        self.mci = None
 
     @property
     def ambient(self) -> int:
@@ -336,8 +344,29 @@ def tci_from_mci(mci: MCI) -> TCI:
         functions.append(m_k)
         fans.append(nxt)
         if nxt.is_zero() and k < mci.codim:
-            return TCI(fans, functions, codim=mci.codim, collapsed_at=k)
-    return TCI(fans, functions, codim=mci.codim)
+            tci = TCI(fans, functions, codim=mci.codim, collapsed_at=k)
+            break
+    else:
+        tci = TCI(fans, functions, codim=mci.codim)
+    tci.mci = mci
+    return tci
+
+
+def _joint_threshold_cells(mci: MCI) -> list:
+    """Common refinement of all threshold functions m_1, …, m_codim of an MCI.
+
+    Every region of ``_prefix_regions`` lies in its parent's, so the regions
+    of the full-length prefixes tile covector space, and on each of them
+    every m_k is linear with covector the k-th point of the prefix.  Returns
+    (region, (covector of m_1, …, covector of m_codim)) cells, one per
+    distinct region: equal full-dimensional regions carry equal covectors.
+    """
+    cells = {}
+    for prefix, region in _prefix_regions(mci).items():
+        if len(prefix) == mci.codim:
+            cells.setdefault(region.key(),
+                             (region, tuple(mci.support.point(a) for a in prefix)))
+    return list(cells.values())
 
 
 def bkk_number(tci: TCI) -> int:

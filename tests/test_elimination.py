@@ -1,18 +1,24 @@
 """Eliminant polytopes: projection route, shadow route, and their agreement."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 from cone_reference import intersect
+from elimination_reference import support_values as pullback_support_values
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropeci import elimination
+from tropeci import mci as mci_module
 from tropeci.cones import Cone, full_space
 from tropeci.fans import WeightedFan
 from tropeci.linalg import solve, vsub
-from tropeci.mci import MCI, Matroid, SupportMultiset, tci_from_mci
+from tropeci.mci import MCI, TCI, Matroid, SupportMultiset, tci_from_mci
 from tropeci.elimination import (
     DegenerateEliminant,
+    MissingMCI,
     NotPrimitive,
     ProjectionSplit,
     eliminant_polytope,
@@ -265,24 +271,77 @@ def test_routes_agree_on_random_systems():
         done += 1
 
 
-def test_zero_factors_are_pulled_back_once_per_intersection(monkeypatch):
-    # mᵢ(x, 0) does not depend on the direction: a verified eliminant pulls
-    # each defining function back once for the zeros and once per direction
+def test_routes_agree_in_five_dimensions():
+    # two coordinates eliminated from ℤ⁵, seven points of {0,1}⁵
+    pts = [(0, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 0),
+           (1, 0, 0, 0, 1), (1, 0, 1, 0, 0), (1, 1, 1, 1, 1)]
+    cols = [(2, 0, 2), (1, 0, 1), (0, 2, -2), (-2, 2, 1), (-1, 0, -1),
+            (1, 1, -2), (-2, 2, 2)]
+    ids = [f"a{i}" for i in range(len(pts))]
+    mci = MCI(SupportMultiset(zip(ids, pts)),
+              Matroid.from_matrix(dict(zip(ids, cols))), 3)
+    result = eliminant_polytope(mci, ProjectionSplit(2, 3), verify_shadow=True)
+    assert result.route == "both"
+    assert result.polytope.dim == 3
+
+
+def test_one_region_walk_per_direction_and_none_pulled_back(monkeypatch):
+    # the restricted factors come from the image MCI: one region walk for the
+    # chain, one for the zeros mᵢ(x, 0) and one per direction, no pullback
     mci = two_block_mci(shifted_graph_points(2, 1), shifted_graph_points(2, 2))
-    calls = []
+    walks, pullbacks = [], []
+    walk = mci_module._prefix_regions
+    monkeypatch.setattr(mci_module, "_prefix_regions",
+                        lambda m: walks.append(m) or walk(m))
     pullback = elimination.pullback_linear
     monkeypatch.setattr(elimination, "pullback_linear",
-                        lambda m, rows: calls.append(rows) or pullback(m, rows))
+                        lambda m, rows: pullbacks.append(rows) or pullback(m, rows))
     result = eliminant_polytope(mci, ProjectionSplit(1, 2), verify_shadow=True)
     assert result.route == "both"
-    assert len(calls) == 2 * (1 + len(result.support_values))
+    assert len(walks) == 1 + 1 + len(result.support_values)
+    assert pullbacks == []
     monkeypatch.undo()
-    # and the shared zeros give the values of the per-direction shadow
+    # and the image MCI gives the values of the per-direction shadow
     tci = tci_from_mci(mci)
     for r in result.support_values:
         rows = [(1, 0), (0, r[0]), (0, r[1])]
         ms = [pullback_linear(m, rows) for m in tci.functions]
         assert eliminant_support_value(tci, r) == mixed_shadow_volume(ms)
+
+
+@st.composite
+def systems_with_a_loop(draw):
+    """A random MCI for a split, with a repeated point and a loop, and directions.
+
+    The loop's column is zero, so ``MCI`` drops it from the support while the
+    matroid's ground keeps it.
+    """
+    split = draw(st.sampled_from([ProjectionSplit(1, 2), ProjectionSplit(2, 2)]))
+    dim, codim = split.total_dim, split.eliminated + 1
+    point = st.tuples(*[st.integers(-1, 1)] * dim)
+    pts = draw(st.lists(point, min_size=codim + 1, max_size=5, unique=True))
+    pts.append(draw(st.sampled_from(pts)))
+    column = st.tuples(*[st.integers(-2, 2)] * codim)
+    cols = {f"p{i}": draw(column) for i in range(len(pts))}
+    labeled = [(f"p{i}", p) for i, p in enumerate(pts)]
+    labeled.append(("loop", draw(point)))
+    cols["loop"] = (0,) * codim
+    matroid = Matroid.from_matrix(cols)
+    assume(matroid.rank(list(cols)) >= codim)
+    direction = st.tuples(*[st.integers(-2, 2)] * split.kept).filter(
+        lambda v: gcd(*v) == 1)
+    vs = draw(st.lists(direction, min_size=1, max_size=2, unique=True))
+    return MCI(SupportMultiset(labeled), matroid, codim), split, vs
+
+
+@settings(max_examples=20)
+@given(systems_with_a_loop())
+def test_image_route_agrees_with_the_pullback_route(system):
+    mci, split, vs = system
+    tci = tci_from_mci(mci)
+    assume(tci.collapsed_at is None)
+    assert [eliminant_support_value(tci, v) for v in vs] == \
+        pullback_support_values(tci, vs, split.eliminated)
 
 
 # -- input validation -----------------------------------------------------------
@@ -311,6 +370,14 @@ def test_fractional_direction_is_rejected_not_truncated():
         eliminant_support_value(tci, (Fraction(1, 2), 1))
     assert eliminant_support_value(tci, (1.0, Fraction(1))) == \
         eliminant_support_value(tci, (1, 1))
+
+
+def test_a_hand_built_chain_has_no_mci_to_restrict():
+    mci = two_block_mci(shifted_graph_points(2, 1), shifted_graph_points(2, 2))
+    tci = tci_from_mci(mci)
+    assert eliminant_support_value(tci, (1, 1)) == 2
+    with pytest.raises(MissingMCI):
+        eliminant_support_value(TCI(tci.fans, tci.functions, codim=2), (1, 1))
 
 
 def test_collapsed_intersection_is_rejected():

@@ -256,6 +256,21 @@ def test_genera_sum_to_euler_characteristic():
         assert total == euler_from_genera(ms)
 
 
+def test_the_genera_of_one_object_count_each_dilate_once(monkeypatch):
+    def virtual():
+        return VirtualPolytope(LatticePolytope(PLUS), LatticePolytope(MINUS))
+
+    expected = [hirzebruch_chi_p([virtual()], p) for p in range(3)]
+    m = virtual()
+    counted = []
+    decompose = invariants.val_decompose
+    monkeypatch.setattr(invariants, "val_decompose", lambda v: counted.append(
+        (tuple(v.plus.vertices), tuple(v.minus.vertices))) or decompose(v))
+    assert [hirzebruch_chi_p([m], p) for p in range(3)] == expected
+    # χ₀, χ₁ and χ₂ in ℤ³ need the dilates 0·m, …, 3·m, each counted once
+    assert len(counted) == len(set(counted)) == 4
+
+
 # -- Euler characteristics ------------------------------------------------------
 
 
