@@ -62,7 +62,8 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
     converted in coordinates of a lattice complement of the lineality: the
     whole of that space is cut by one constraint after another with
     :func:`_sides`, each equation as two opposite halfspaces, and the rays
-    are mapped back and made primitive.
+    are mapped back (a dot product with each column of the complement basis)
+    and made primitive.
     """
     ineqs = _dedupe(tuple(a) for a in ineqs if not is_zero(a))
     eqs = [tuple(e) for e in eqs if not is_zero(e)]
@@ -74,8 +75,8 @@ def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
     rays, masks, cut_lin = [], [], _standard_basis(len(w))
     for step, a in enumerate(rows + [vneg(r) for r in rows[len(ineqs):]]):
         rays, masks, cut_lin, _ = _sides(rays, masks, cut_lin, a, 1 << step)[0]
-    out = [primitive(tuple(sum(c * wi[j] for c, wi in zip(r, w)) for j in range(ambient)))
-           for r in rays]
+    cols = list(zip(*w))
+    out = [primitive([dot(r, col) for col in cols]) for r in rays]
     return sorted(_dedupe(out)), lin
 
 
@@ -102,7 +103,8 @@ def _cut(rays, masks, vals, bit):
         for j in neg:
             z = masks[i] & masks[j]
             if _adjacent(z, i, j, masks):
-                c = primitive(vsub(vscale(vals[i], rays[j]), vscale(vals[j], rays[i])))
+                vi, vj = vals[i], vals[j]
+                c = primitive([vi * b - vj * a for a, b in zip(rays[i], rays[j])])
                 shared[c] = shared.get(c, 0) | z | bit
     return [([rays[i] for i in side] + list(shared),
              [masks[i] for i in side] + list(shared.values())) for side in (pos, neg)]
@@ -352,10 +354,10 @@ def _cut_cone(cone: Cone, ineqs: Sequence, eqs: Sequence, min_dim: int):
     equation as two opposite halfspaces; the tightness masks start over the
     cone's own constraint list (raw when kept, else its H-rep).  Only a side
     that is not whole can lower the dimension, so the rank is taken only
-    then.  The result keeps the rays and lineality of the cut, so it needs
-    no conversion, and of the combined inequalities only those tight on at
-    least dim − len(lineality) − 1 of its rays: every facet and every
-    implicit equation is among them, so the cone is the same.
+    then.  The result keeps the rays, lineality and dimension of the cut, so
+    it needs no conversion and no rank, and of the combined inequalities only
+    those tight on at least dim − len(lineality) − 1 of its rays: every facet
+    and every implicit equation is among them, so the cone is the same.
     """
     own_ineqs, own_eqs = cone._constraints()
     ineqs, eqs = [tuple(a) for a in ineqs], [tuple(e) for e in eqs]
@@ -376,8 +378,10 @@ def _cut_cone(cone: Cone, ineqs: Sequence, eqs: Sequence, min_dim: int):
     need = dim - len(lin) - 1
     kept = [a for i, a in enumerate(own_ineqs + ineqs)
             if sum(mk >> i & 1 for mk in masks) >= need]
-    return Cone(cone.ambient, rays=rays, lineality=lin, ineqs=kept,
-                eqs=own_eqs + eqs, _trusted=True)
+    out = Cone(cone.ambient, rays=rays, lineality=lin, ineqs=kept,
+               eqs=own_eqs + eqs, _trusted=True)
+    out._dim = dim
+    return out
 
 
 def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:

@@ -292,9 +292,11 @@ def _prefix_regions(mci: MCI) -> dict:
     prefix, so the pruning is exact).  The region of prefix + (a,) is the
     region of the prefix cut by p_a − p_b ≥ 0 for the other eligible b; the
     cut goes through the parent's extreme rays and stops as soon as one
-    halfspace leaves no ray on its positive side.  The union of the kept
-    regions of each length covers covector space, and ids sharing a point
-    lead to identical regions, so nothing else is ever needed.
+    halfspace leaves no ray on its positive side.  Eligible ids that share a
+    point have identical regions, so each prefix cuts once per distinct
+    point; each id still gets its own child prefix, because what is eligible
+    after it depends on the id.  The union of the kept regions of each length
+    covers covector space, so nothing else is ever needed.
     """
     n = mci.ambient
     ids = sorted(mci.support.ids())
@@ -308,10 +310,13 @@ def _prefix_regions(mci: MCI) -> dict:
         r = len(prefix)
         eligible = [a for a in ids
                     if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+        cuts = {}
         for a in eligible:
             p = mci.support.point(a)
-            diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
-            cone = _cut_cone(regions[prefix], diffs, [], n)
+            if p not in cuts:
+                diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
+                cuts[p] = _cut_cone(regions[prefix], diffs, [], n)
+            cone = cuts[p]
             if cone is not None:
                 regions[prefix + (a,)] = cone
                 stack.append(prefix + (a,))

@@ -37,6 +37,7 @@ from .linalg import (
     det,
     dot,
     int_vector,
+    is_zero,
     saturation_basis,
     vadd,
     vgcd,
@@ -110,7 +111,7 @@ class LatticePolytope:
             out = []
             for row in self._cone.ineqs:
                 a, b = row[:-1], row[-1]
-                if all(x == 0 for x in a):
+                if is_zero(a):
                     continue  # the far hyperplane of the homogenization
                 g = vgcd(a)
                 out.append((tuple(x // g for x in a), b // g))

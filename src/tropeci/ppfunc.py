@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, _dedupe, chamber_complex, common_refinement
+from .cones import Cone, chamber_complex, common_refinement
 from .fans import WeightedFan, _wall_step
 from .linalg import dot, inverse_rows, sign_normalized, sublattice_index
 from .plfunc import PLFunction, _agree_on_overlaps
@@ -243,7 +243,7 @@ def simplicial_refinement(cones: Sequence[Cone], ambient: int) -> list:
                for i in range(ambient)}
     for cone in cones:
         normals.update(sign_normalized(a) for a in [*cone.ineqs, *cone.eqs])
-    return triangulate_complete_fan(chamber_complex(sorted(normals), ambient), ambient)
+    return list(triangulate_complete_fan(chamber_complex(sorted(normals), ambient), ambient))
 
 
 def _pull_triangulate(cone: Cone) -> list:
@@ -272,37 +272,48 @@ def courant_hats(simplices: Sequence, ambient: int) -> dict:
             for r in rays}
 
 
-def triangulate_complete_fan(cells: Sequence[Cone], ambient: int) -> list:
+def triangulate_complete_fan(cells: Sequence[Cone], ambient: int) -> dict:
     """Pull-triangulation of a complete face-to-face fan with pointed cones.
 
     Shared faces are triangulated identically because the recursion always
     pulls the lexicographically smallest ray of the current cone, a choice
-    that depends on the face alone.  Returns full-dimensional simplices as
-    sorted ray tuples.
+    that depends on the face alone.  Returns a dict from each
+    full-dimensional simplex, a sorted ray tuple, to the position of the
+    cell it was triangulated from, in the order of the triangulation.
     """
     if any(cone.lineality for cone in cells):
         raise ValueError("cells must be pointed")
-    return _dedupe(s for cone in cells for s in _pull_triangulate(cone))
+    out = {}
+    for i, cone in enumerate(cells):
+        for s in _pull_triangulate(cone):
+            out.setdefault(s, i)
+    return out
 
 
-def _multiset_coefficients(f: PPFunction, simplices: Sequence) -> dict:
-    """Coefficients of F in the basis of hat-function products.
+def _piece_at(f: PPFunction, simplex: tuple) -> Poly:
+    """The polynomial of the cell of F containing the simplex's ray sum."""
+    probe = tuple(map(sum, zip(*simplex)))
+    p = next((poly for cone, poly in f.cells if cone.contains(probe)), None)
+    if p is None:
+        raise ValueError("refinement left the domain of F")
+    return p
 
-    Keys are sorted ray tuples with multiplicity (|key| = deg F).  A clash
+
+def _multiset_coefficients(degree: int, pieces: Iterable) -> dict:
+    """Coefficients in the basis of hat-function products of a PP function
+    of the given degree, given as (simplex, polynomial) pairs.
+
+    Keys are sorted ray tuples with multiplicity (|key| = degree).  A clash
     between the expansions of two simplices sharing a face is exactly a
     discontinuity of F across that face, so this doubles as the continuity
     check of the piecewise data.
     """
     coeffs = {}
-    for s in simplices:
-        probe = tuple(map(sum, zip(*s)))
-        p = next((poly for cone, poly in f.cells if cone.contains(probe)), None)
-        if p is None:
-            raise ValueError("refinement left the domain of F")
+    for s, p in pieces:
         # barycentric expansion: x = Σ t_i·r_i.  Absent monomials count as
         # explicit zeros — a zero-vs-nonzero clash is a discontinuity too.
         local = p.compose(list(zip(*s)))
-        for combo in combinations_with_replacement(range(len(s)), f.degree):
+        for combo in combinations_with_replacement(range(len(s)), degree):
             c = local.terms.get(tuple(map(combo.count, range(len(s)))), 0)
             if coeffs.setdefault(tuple(sorted(s[i] for i in combo)), c) != c:
                 raise NotContinuous("inconsistent coefficients on a shared face")
@@ -319,7 +330,7 @@ def courant_decomposition(f: PPFunction) -> tuple:
     n = f.ambient
     simplices = simplicial_refinement([c for c, _ in f.cells], n)
     hats = courant_hats(simplices, n)
-    return _multiset_coefficients(f, simplices), hats
+    return _multiset_coefficients(f.degree, ((s, _piece_at(f, s)) for s in simplices)), hats
 
 
 class _FanEngine:
@@ -420,8 +431,10 @@ def pp_iterated_number(f: PPFunction, t_fan: WeightedFan):
     each product combinatorially on that fan with ``_FanEngine``, sharing
     work across common prefixes.  When T is a multiple of the whole space
     and every cell of F is pointed, the fan is the pull triangulation of the
-    cells; otherwise it is ``simplicial_refinement`` of the cells together
-    with the cones of T, so T may be any weighted fan of dimension deg F.
+    cells, and each simplex takes the polynomial of the cell it came from;
+    otherwise it is ``simplicial_refinement`` of the cells together with the
+    cones of T, so T may be any weighted fan of dimension deg F, and each
+    simplex takes the polynomial of the cell that contains its ray sum.
     Inconsistent piece data is detected during the expansion and raises
     NotContinuous.
     """
@@ -435,9 +448,11 @@ def pp_iterated_number(f: PPFunction, t_fan: WeightedFan):
     if all(len(c.lineality) == n for c, _ in t_fan.cones) and \
             not any(c.lineality for c in cells):
         simplices = triangulate_complete_fan(cells, n)
+        pieces = [(s, f.cells[i][1]) for s, i in simplices.items()]
     else:
         simplices = simplicial_refinement(cells + [c for c, _ in t_fan.cones], n)
-    coeffs = _multiset_coefficients(f, simplices)
+        pieces = [(s, _piece_at(f, s)) for s in simplices]
+    coeffs = _multiset_coefficients(f.degree, pieces)
     engine = _FanEngine(simplices)
     states = {(): engine.initial_state(t_fan)}
 

@@ -3,7 +3,9 @@
 The benchmark's tracer wraps functions by module and attribute name, so a
 rename inside ``tropeci`` would only surface in a slow benchmark run; and
 with no linter installed, unused imports, private helpers that nothing
-calls any more and options that no caller sets would pile up unnoticed.
+calls any more and options that no caller sets would pile up unnoticed.  So
+would hand-written copies of the ``linalg`` vector kernels, which bring back
+the slow generator form that those kernels replaced with C-level builtins.
 """
 
 import ast
@@ -238,3 +240,66 @@ def test_every_default_is_passed_by_some_call():
     callers = {str(p): p.read_text() for d in ("src/tropeci", "tests", "bench")
                for p in sorted((ROOT / d).glob("*.py"))}
     assert _unused_defaults(package, callers) == []
+
+
+def _names(node) -> list | None:
+    """The names of a Name or a tuple of Names, else None."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Tuple) and all(isinstance(e, ast.Name) for e in node.elts):
+        return [e.id for e in node.elts]
+    return None
+
+
+def _called(call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _kernel_reimplementations(source: str) -> list:
+    """Hand-written copies of the ``linalg`` vector kernels: a generator dot
+    product ``sum(a * b for a, b in zip(u, v))``, a zero test
+    ``all(x == 0 for x in v)`` and a gcd loop step ``gcd(g, abs(x))``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _called(node), node.args
+        gen = args[0] if len(args) == 1 and isinstance(args[0], ast.GeneratorExp) \
+            else None
+        target = gen and len(gen.generators) == 1 and _names(gen.generators[0].target)
+        if name == "sum" and target and len(target) == 2:
+            elt, it = gen.elt, gen.generators[0].iter
+            if isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Mult) and \
+                    sorted((_names(elt.left) or []) + (_names(elt.right) or [])) == \
+                    sorted(target) and isinstance(it, ast.Call) and _called(it) == "zip":
+                out.append(f"line {node.lineno}: generator dot")
+        elif name == "all" and target and len(target) == 1:
+            elt = gen.elt
+            if isinstance(elt, ast.Compare) and _names(elt.left) == target and \
+                    isinstance(elt.ops[0], ast.Eq) and \
+                    isinstance(elt.comparators[0], ast.Constant) and \
+                    elt.comparators[0].value == 0:
+                out.append(f"line {node.lineno}: all(x == 0 …)")
+        elif name == "gcd" and len(args) == 2 and isinstance(args[0], ast.Name) and \
+                isinstance(args[1], ast.Call) and _called(args[1]) == "abs":
+            out.append(f"line {node.lineno}: gcd(g, abs(x)) loop")
+    return sorted(out)
+
+
+def test_the_kernel_check_sees_a_copied_kernel():
+    source = ("s = sum(a * b for a, b in zip(u, v))\n"
+              "z = all(x == 0 for x in v)\n"
+              "for x in v:\n    g = gcd(g, abs(x))\n"
+              "t = sum(c * w[0] for c, w in zip(r, rows))\n"
+              "ok = all(dot(e, x) == 0 for e in eqs)\n"
+              "h = gcd(*v)\n")
+    assert _kernel_reimplementations(source) == [
+        "line 1: generator dot", "line 2: all(x == 0 …)", "line 4: gcd(g, abs(x)) loop"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "linalg.py"),
+                         ids=lambda p: p.name)
+def test_only_linalg_implements_the_vector_kernels(path):
+    assert _kernel_reimplementations(path.read_text()) == []

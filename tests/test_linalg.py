@@ -14,6 +14,7 @@ from tropeci.linalg import (
     in_span,
     int_vector,
     inverse_rows,
+    is_zero,
     kernel_basis,
     primitive,
     rank,
@@ -23,6 +24,11 @@ from tropeci.linalg import (
     solve,
     solve_dot_one,
     sublattice_index,
+    vadd,
+    vgcd,
+    vneg,
+    vscale,
+    vsub,
 )
 
 
@@ -30,8 +36,89 @@ def test_primitive():
     assert primitive((4, -6)) == (2, -3)
     assert primitive((1, 0, 0)) == (1, 0, 0)
     assert primitive((0, -5)) == (0, -1)
-    with pytest.raises(ZeroVector):
-        primitive((0, 0))
+    for v in [(0, 0), (), [0, 0, 0]]:
+        with pytest.raises(ZeroVector):
+            primitive(v)
+
+
+# The generator definitions the C-level vector kernels replaced, kept as the
+# reference they must equal entry for entry, types included.
+
+def ref_vgcd(v):
+    g = 0
+    for x in v:
+        g = gcd(g, abs(x))
+    return g
+
+
+def ref_primitive(v):
+    g = ref_vgcd(v)
+    if g == 0:
+        raise ZeroVector("the zero vector has no primitive form")
+    return tuple(x // g for x in v)
+
+
+def ref_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def ref_vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def ref_vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def ref_vscale(c, v):
+    return tuple(c * a for a in v)
+
+
+def ref_vneg(v):
+    return tuple(-a for a in v)
+
+
+def ref_is_zero(v):
+    return all(x == 0 for x in v)
+
+
+def outcome(fn, *args):
+    """What a call gives: its value with the type of every entry, or the
+    type of the exception it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+    types = tuple(map(type, out)) if isinstance(out, tuple) else type(out)
+    return out, types
+
+
+# zeros are common, so zero vectors come up
+KERNEL_ENTRIES = st.one_of(st.integers(-30, 30), st.just(0),
+                           st.fractions(-5, 5, max_denominator=7))
+
+
+@st.composite
+def vector_pairs(draw, entries):
+    n = draw(st.integers(0, 6))
+    return tuple(tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+                 for _ in range(2))
+
+
+@settings(max_examples=200)
+@given(st.one_of(vector_pairs(st.integers(-30, 30)), vector_pairs(KERNEL_ENTRIES)),
+       KERNEL_ENTRIES)
+@example(((), ()), 3)
+@example(((0, 0, 0), (0, 0, 0)), 0)
+@example(((Fraction(0), 0), (0, Fraction(0))), Fraction(1, 2))
+@example(((6, -4, 10), (0, 0, 0)), -2)
+def test_vector_kernels_equal_their_generator_definitions(pair, c):
+    u, v = pair
+    for fn, ref, args in [(dot, ref_dot, (u, v)), (vadd, ref_vadd, (u, v)),
+                          (vsub, ref_vsub, (u, v)), (vscale, ref_vscale, (c, u)),
+                          (vneg, ref_vneg, (u,)), (is_zero, ref_is_zero, (u,)),
+                          (vgcd, ref_vgcd, (u,)), (primitive, ref_primitive, (u,))]:
+        assert outcome(fn, *args) == outcome(ref, *args), fn.__name__
 
 
 def test_rational_primitive_reads_every_entry_exactly():

@@ -117,6 +117,25 @@ def test_discontinuous_pieces_detected():
         pp_iterated_number(f, unit_fan(2))
 
 
+def test_discontinuous_pointed_pieces_detected_by_the_pull_triangulation(monkeypatch):
+    # pointed quadrants under the whole plane take the pull-triangulation
+    # branch, where each simplex reads the polynomial of its own cell; the
+    # first quadrant's 2y² disagrees with the y² of its neighbour on x = 0.
+    # The refinement branch is switched off, so only that branch can answer.
+    quadrants = [Cone(2, rays=[(sx, 0), (0, sy)]) for sx in (1, -1) for sy in (1, -1)]
+    x, y = Poly.linear((1, 0)), Poly.linear((0, 1))
+    smooth = x * x + y * y
+    monkeypatch.setattr("tropeci.ppfunc.simplicial_refinement", None)
+    f = PPFunction(2, 2, [(q, smooth) for q in quadrants])
+    assert f.check_continuity()
+    assert pp_iterated_number(f, unit_fan(2)) == 0
+    bent = PPFunction(2, 2, [(quadrants[0], x * x + 2 * y * y)] +
+                      [(q, smooth) for q in quadrants[1:]])
+    assert not bent.check_continuity()
+    with pytest.raises(NotContinuous):
+        pp_iterated_number(bent, unit_fan(2))
+
+
 # -- single-step corner locus -------------------------------------------------
 
 
