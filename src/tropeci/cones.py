@@ -285,27 +285,32 @@ class Cone:
         return tuple(map(sum, zip(*self.rays))) if self.rays else (0,) * self.ambient
 
     def facets(self) -> list:
-        """Codimension-1 faces (empty for a linear subspace).
+        """Codimension-1 faces (empty for a linear subspace)."""
+        return [f for f, _ in self._facets()]
+
+    def _facets(self) -> Iterator:
+        """(facet, a) per facet, a the first inequality a ≥ 0 that cuts it.
 
         Every facet is cut out by one of the ``_constraints`` inequalities
         (the raw ones when kept, else the H-rep), so each distinct set of
         rays tight on one of them whose span with the lineality has rank
         dim − 1 is one facet, read from the tightness masks.  A facet keeps
-        the constraints, its inequality added as an equation, so its own
-        facets are read the same way, with no conversion.
+        that dimension and the constraints, a added as an equation, so its
+        own facets are read the same way, with no conversion.
         """
         ineqs, eqs = self._constraints()
         rays, masks, lin, dim = self.rays, self._tight_masks(), self.lineality, self.dim
-        seen, out = set(), []
+        seen = set()
         for i, a in enumerate(ineqs):
             tight = tuple(r for r, mk in zip(rays, masks) if mk >> i & 1)
             if tight in seen or len(tight) + len(lin) < dim - 1:
                 continue
             seen.add(tight)
             if rank(list(tight) + lin) == dim - 1:
-                out.append(Cone(self.ambient, rays=tight, lineality=lin, ineqs=ineqs,
-                                eqs=list(eqs) + [a], _trusted=True))
-        return out
+                f = Cone(self.ambient, rays=tight, lineality=lin, ineqs=ineqs,
+                         eqs=list(eqs) + [a], _trusted=True)
+                f._dim = dim - 1
+                yield f, a
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={self.rays}, lin={len(self.lineality)})"

@@ -38,6 +38,10 @@ class NotBalanced(ValueError):
     pass
 
 
+class NotContinuous(ValueError):
+    pass
+
+
 class NotSurjective(ValueError):
     pass
 
@@ -51,7 +55,11 @@ class NotGeneric(RuntimeError):
 
 
 class WeightedFan:
-    """Pure-dimensional weighted fan; duplicate cones are merged on build."""
+    """Pure-dimensional weighted fan; duplicate cones are merged on build.
+
+    Weights are exact: ints, Fractions or ``ppfunc.Poly``s; a float weight
+    raises ValueError.
+    """
 
     __slots__ = ("ambient", "dim", "cones")
 
@@ -62,6 +70,8 @@ class WeightedFan:
         for cone, w in cones:
             if cone.ambient != ambient:
                 raise ValueError(f"cone in ℤ^{cone.ambient}, fan in ℤ^{ambient}")
+            if isinstance(w, float):
+                raise ValueError(f"float weight {w}: weights are exact")
             if w == 0:
                 continue
             k = cone.key()
@@ -123,15 +133,18 @@ def wall_lift(rho: Cone, tau: Cone):
     p = rho.relint_point()
     basis = tau.span_rows()
     for a in tau._constraints()[0]:
-        if dot(a, p) != 0:
-            continue
-        phi = [dot(a, b) for b in basis]
-        if any(phi):
-            lift = (0,) * tau.ambient
-            for c, b in zip(solve_dot_one(primitive(phi)), basis):
-                lift = vadd(lift, vscale(c, b))
-            return lift
+        if dot(a, p) == 0 and any(dot(a, b) for b in basis):
+            return _lift(tau, a)
     raise ValueError("wall is not a facet of the cone")
+
+
+def _lift(tau: Cone, a):
+    """The ũ of :func:`wall_lift` for the facet that a ≥ 0 cuts from τ."""
+    basis = tau.span_rows()
+    lift = (0,) * tau.ambient
+    for c, b in zip(solve_dot_one(primitive([dot(a, b) for b in basis])), basis):
+        lift = vadd(lift, vscale(c, b))
+    return lift
 
 
 def _is_face_of(cone: Cone, sub: Cone) -> bool:
@@ -175,40 +188,36 @@ def _wall_step(pieces: Sequence, ambient: int, term) -> list:
     Pieces are tuples (cone, weight, ...) with number or ``Poly`` weights, and
     they must meet face to face: walls are their cones' facets matched by key.
     Wall ρ weighs Σ_j ``term(τ_j, τ_0, ũ_j)`` over its incident pieces τ_j, τ_0
-    the first, with lifts ũ_j = ``wall_lift(ρ, τ_j)``, and is dropped when that
-    vanishes on span ρ.  Every wall is tested for balance first: a Σ_j w_j·ũ_j
-    outside span ρ raises NotBalanced, because the cycle is unbalanced at ρ or
-    a piece is subdivided differently from its neighbour.
+    the first, with lifts ũ_j = ``_lift(τ_j, a_j)`` for the inequality a_j
+    that cuts ρ from τ_j, and is dropped when that vanishes on span ρ.  Every
+    wall is tested first.  A Σ_j w_j·ũ_j outside span ρ raises NotBalanced,
+    because the cycle is unbalanced at ρ or a piece is subdivided differently
+    from its neighbour.  A ``term(τ_j, τ_0, b)`` not zero on span ρ for a row
+    b of span ρ raises NotContinuous: the pieces disagree on ρ.  A piece that
+    the refinement dropped reaches no wall, nor does a disagreement on it.
     """
+    groups = {}
+    for piece in pieces:
+        for f, a in piece[0]._facets():
+            groups.setdefault(f.key(), (f, []))[1].append((piece, _lift(piece[0], a)))
     out = []
-    for wall, incident in group_walls(pieces).values():
+    for wall, incident in groups.values():
         span = wall.span_rows()
-        lifts = [wall_lift(wall, piece[0]) for piece in incident]
         total = (0,) * ambient
-        for piece, u in zip(incident, lifts):
+        for piece, u in incident:
             total = vadd(total, vscale(piece[1], u))
         if not all(_vanishes(dot(psi, total), span)
                    for psi in kernel_basis(span, ambient)):
             raise NotBalanced("weighted lifts leave the span of a wall: the cycle "
                               "is unbalanced or its pieces do not meet face to face")
-        weight = sum(term(piece, incident[0], u) for piece, u in zip(incident, lifts))
+        first = incident[0][0]
+        if not all(_vanishes(term(piece, first, b), span)
+                   for piece, _ in incident[1:] for b in span):
+            raise NotContinuous("pieces disagree on a shared wall")
+        weight = sum(term(piece, first, u) for piece, u in incident)
         if not _vanishes(weight, span):
             out.append((wall, weight))
     return out
-
-
-def group_walls(items: Iterable) -> dict:
-    """Facet key → (facet, incident items) over the facets of the items' cones.
-
-    Each item is a tuple whose first entry is a cone; an item is listed under
-    every facet of its cone, in input order.  Facets are matched by exact
-    key, so a wall is only seen whole when the cones meet face to face.
-    """
-    groups = {}
-    for item in items:
-        for f in item[0].facets():
-            groups.setdefault(f.key(), (f, []))[1].append(item)
-    return groups
 
 
 def is_zero_cycle(pairs: Sequence, ambient: int) -> bool:

@@ -34,13 +34,20 @@ class NotConvex(ValueError):
 
 
 class PLFunction:
-    """Piecewise-linear function as cells (cone, covector)."""
+    """Piecewise-linear function as cells (cone, covector).
+
+    Every cone and covector must live in ℝ^ambient (ValueError otherwise).
+    """
 
     __slots__ = ("ambient", "cells")
 
     def __init__(self, ambient: int, cells: Iterable):
         self.ambient = ambient
         self.cells = [(c, tuple(l)) for c, l in cells]
+        for c, l in self.cells:
+            if c.ambient != ambient or len(l) != ambient:
+                raise ValueError(f"cell in ℝ^{c.ambient} with a covector of length "
+                                 f"{len(l)}, function on ℝ^{ambient}")
 
     def value(self, x):
         for cone, l in self.cells:
@@ -124,15 +131,23 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan) -> WeightedFan:
     Walls are the codimension-one faces of the refinement of the cycle by the
     cells of m; each wall ρ gets the weight Σ_j w_j·(ℓ_j − ℓ_ρ)(ũ_j) over
     incident refined cones with covectors ℓ_j and quotient lifts ũ_j, where
-    ℓ_ρ is any one of the ℓ_j (they agree on span ρ).
+    ℓ_ρ is any one of the ℓ_j (they agree on span ρ).  m must live in the
+    cycle's ambient space (ValueError otherwise).
 
     Walls are matched by their face keys, so the refined pieces must meet
-    face to face.  Every wall is tested for balance: one whose weighted lifts
-    leave its span raises NotBalanced instead of returning a wrong cycle,
-    because the cycle is unbalanced there or a piece is subdivided
-    differently from its neighbour.  Cell structures cut from a common
-    arrangement always meet face to face.
+    face to face.  Every wall is tested: one whose weighted lifts leave its
+    span raises NotBalanced instead of returning a wrong cycle, because the
+    cycle is unbalanced there or a piece is subdivided differently from its
+    neighbour, and one where the ℓ_j disagree on span ρ raises NotContinuous.
+    Cell structures cut from a common arrangement always meet face to face.
+    The wall test is blind where two cells of m overlap on a cone of the
+    cycle: the refinement keeps the first cell's covector only, so a
+    disagreement there changes the weights without reaching any wall (the
+    tropical line against x ≥ 0 ↦ y, x ≤ 0 ↦ 2y gives −1 or 0 at the origin
+    by cell order).  ``PLFunction.check_continuity`` sees that case.
     """
+    if m.ambient != t_fan.ambient:
+        raise ValueError(f"function on ℝ^{m.ambient}, cycle in ℝ^{t_fan.ambient}")
     if t_fan.is_zero():
         return WeightedFan(t_fan.ambient, [], dim=max(t_fan.dim - 1, -1))
     walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient,

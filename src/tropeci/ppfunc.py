@@ -4,7 +4,9 @@ Two levels live here.  The single-step corner locus of a piecewise
 polynomial against a polynomially weighted fan implements the directional
 derivative defect wall by wall: it cuts cells with
 ``cones.common_refinement`` and leaves the walls, their lifts and the
-balance test to ``fans._wall_step``, which ``plfunc.corner_locus`` shares.
+balance and continuity tests at each wall to ``fans._wall_step``, which
+``plfunc.corner_locus`` shares; the whole piecewise data is also tested for
+continuity once, which the walls alone do not see.
 The number δ^N(F·T)/N! for deg F = dim T is computed by a different and
 more robust route: F is expanded over a simplicial fan refining its cells
 and T into products of Courant hat functions (the piecewise linear
@@ -24,13 +26,9 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .cones import Cone, chamber_complex, common_refinement
-from .fans import WeightedFan, _wall_step
+from .fans import NotContinuous, WeightedFan, _wall_step
 from .linalg import dot, inverse_rows, sign_normalized, sublattice_index
 from .plfunc import PLFunction, _agree_on_overlaps
-
-
-class NotContinuous(ValueError):
-    pass
 
 
 class Poly:
@@ -212,12 +210,20 @@ def pp_corner_locus(f: PPFunction, t_fan: WeightedFan) -> WeightedFan:
     Weights of the result are polynomials: on a wall ρ with incident refined
     cones τ_j, the weight is Σ_j w_j·D_{ũ_j}(F_{τ_j} − F_ρ), with F_ρ the
     piece of any one τ_j.  Walls whose weight vanishes on their span are
-    dropped.  Both inputs are always tested: discontinuous pieces raise
-    NotContinuous, and a wall whose weighted lifts Σ_j w_j·ũ_j leave its span
-    (an unbalanced fan, or refined pieces that do not meet face to face)
-    raises NotBalanced.
+    dropped.  F must live in the fan's ambient space (ValueError otherwise).
+    Both inputs are always tested.  A wall whose weighted lifts Σ_j w_j·ũ_j
+    leave its span (an unbalanced fan, or refined pieces that do not meet
+    face to face) raises NotBalanced; pieces that disagree on a wall raise
+    NotContinuous.  The wall test is blind where two cells of F overlap
+    on a cone of T: the refinement keeps the first cell's piece only, so a
+    disagreement there changes the weights without reaching any wall (the
+    tropical line against x ≥ 0 ↦ y, x ≤ 0 ↦ 2y gives −1 or 0 at the origin
+    by cell order).  So the pieces of F are also tested pairwise on every
+    overlap first, and a disagreement raises NotContinuous.
     """
     n = f.ambient
+    if n != t_fan.ambient:
+        raise ValueError(f"function on ℝ^{n}, fan in ℝ^{t_fan.ambient}")
     if not f.check_continuity():
         raise NotContinuous("pieces disagree on a shared face")
     pieces = [(piece, w, p) for piece, w, (p,) in

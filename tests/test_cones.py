@@ -348,6 +348,9 @@ def test_facets_read_from_tight_masks_match_the_conversion(case):
     by_key = {f.key(): f for f in fresh.facets()}
     for f, rs in zip(facets, ridges):
         assert rs == {g.key() for g in by_key[f.key()].facets()}
+    # each facet comes with the dimension its rank test found
+    for f in facets:
+        assert f._dim == rank(f.rays + f.lineality)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -26,6 +27,7 @@ from tropeci.fans import (
 from tropeci.linalg import canonical_span_rows, in_span, kernel_basis, vadd, vscale, vsub
 from tropeci.oracles import mixed_volume_ie, polygon_curve_rays, random_lattice_polytope
 from tropeci.polytopes import LatticePolytope
+from tropeci.ppfunc import Poly
 
 
 def ray_fan(pairs, ambient=2):
@@ -88,9 +90,11 @@ def cones_with_facets(draw):
 @settings(max_examples=40)
 @given(cones_with_facets())
 def test_wall_lift_agrees_with_the_coordinate_lift_modulo_the_wall(tau):
-    for rho in tau.facets():
+    for rho, a in tau._facets():
         got = wall_lift(rho, tau)
         assert in_span(rho.span_rows(), vsub(got, reference_wall_lift(rho, tau)))
+        # the lift the wall step takes from the handed-over inequality
+        assert in_span(rho.span_rows(), vsub(fans._lift(tau, a), got))
 
 
 def test_tropical_line_is_balanced():
@@ -259,6 +263,14 @@ def test_consolidated_cells_carry_the_summed_input_weight(pairs):
 def test_a_fan_rejects_a_cone_of_another_ambient_dimension():
     with pytest.raises(ValueError):
         WeightedFan(2, [(full_space(3), 1)])
+
+
+def test_a_fan_takes_exact_weights_only():
+    rays = [(1, 1), (-1, 0), (0, -1)]
+    with pytest.raises(ValueError):
+        WeightedFan(2, [(Cone(2, rays=[r]), 0.5) for r in rays])
+    for w in (2, Fraction(1, 2), Poly.linear((1, 0))):
+        assert is_balanced(WeightedFan(2, [(Cone(2, rays=[r]), w) for r in rays]))
 
 
 @pytest.mark.parametrize("rows", [[[1]], [[1, 0, 5]]])

@@ -5,7 +5,9 @@ rename inside ``tropeci`` would only surface in a slow benchmark run; and
 with no linter installed, unused imports, private helpers that nothing
 calls any more and options that no caller sets would pile up unnoticed.  So
 would hand-written copies of the ``linalg`` vector kernels, which bring back
-the slow generator form that those kernels replaced with C-level builtins.
+the slow generator form that those kernels replaced with C-level builtins,
+and reads of a ``Cone``'s private slots outside ``cones``, which recover
+what a ``Cone`` method should hand over.
 """
 
 import ast
@@ -176,6 +178,42 @@ def test_every_slot_is_read_somewhere():
     readers = {str(p): p.read_text()
                for d in ("tests", "bench") for p in sorted((ROOT / d).glob("*.py"))}
     assert _unread_slots(package, readers) == []
+
+
+def _cone_slots() -> set:
+    """The private ``Cone`` slots: its cached representations and caches."""
+    tree = ast.parse((PACKAGE / "cones.py").read_text())
+    return {slot for cls, slot, _ in _slot_entries(tree)
+            if cls == "Cone" and slot.startswith("_")}
+
+
+def _slot_uses(source: str, slots: set) -> list:
+    """Reads and writes of an attribute named in ``slots``, except ``self.x``
+    inside a class that declares a slot x of its own."""
+    tree = ast.parse(source)
+    own = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            mine = {slot for _, slot, _ in _slot_entries(cls)}
+            own |= {id(n) for n in ast.walk(cls) if isinstance(n, ast.Attribute)
+                    and _names(n.value) == ["self"] and n.attr in mine}
+    return sorted(f"line {n.lineno}: .{n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in slots and id(n) not in own)
+
+
+def test_the_slot_use_check_sees_a_cone_slot_read_elsewhere():
+    source = ("class P:\n    __slots__ = ('_span',)\n\n"
+              "    def f(self):\n        return self._span\n\n"
+              "def g(c):\n    c._dim = 1\n    return c._raw_eqs[-1]\n")
+    assert _slot_uses(source, {"_span", "_dim", "_raw_eqs"}) == [
+        "line 8: ._dim", "line 9: ._raw_eqs"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "cones.py"),
+                         ids=lambda p: p.name)
+def test_only_cones_touches_the_private_slots_of_a_cone(path):
+    assert _slot_uses(path.read_text(), _cone_slots()) == []
 
 
 def _defaults(tree) -> list:

@@ -6,6 +6,7 @@ import pytest
 from tropeci.cones import Cone, full_space
 from tropeci.fans import (
     NotBalanced,
+    NotContinuous,
     WeightedFan,
     fans_equal,
     is_balanced,
@@ -187,3 +188,21 @@ def test_corner_locus_rejects_cells_that_do_not_meet_face_to_face():
     assert quadrants.check_continuity()
     with pytest.raises(NotBalanced, match="face to face"):
         corner_locus(quadrants, AMBIENT2)
+
+
+def test_corner_locus_raises_on_pieces_that_disagree_at_a_wall():
+    # x on the right and y on the left disagree on the wall x = 0; without
+    # the wall test this returned the line x = 0 with weight 1, as for max(x, 0)
+    m = PLFunction(2, [(Cone(2, ineqs=[(1, 0)]), (1, 0)), (Cone(2, ineqs=[(-1, 0)]), (0, 1))])
+    assert not m.check_continuity()
+    with pytest.raises(NotContinuous):
+        corner_locus(m, AMBIENT2)
+
+
+def test_a_function_must_live_in_the_ambient_space_of_its_cells_and_cycle():
+    with pytest.raises(ValueError):
+        PLFunction(2, [(full_space(2), (1, 0, 7))])
+    with pytest.raises(ValueError):
+        PLFunction(3, [(full_space(2), (1, 0, 0))])
+    with pytest.raises(ValueError):
+        corner_locus(PLFunction(3, [(full_space(3), (1, 0, 0))]), AMBIENT2)

@@ -117,6 +117,22 @@ def test_discontinuous_pieces_detected():
         pp_iterated_number(f, unit_fan(2))
 
 
+def test_pp_corner_locus_sees_a_disagreement_that_no_wall_shows():
+    # y on x >= 0 and 2y on x <= 0 disagree on the ray (0, 1) of the tropical
+    # line, which the refinement gives to the first cell only; the wall at
+    # the origin then weighs -1 or 0 by cell order, so only the test on every
+    # overlap of the cells catches it
+    line = WeightedFan(2, [(Cone(2, rays=[r]), 1) for r in [(1, 0), (0, 1), (-1, -1)]])
+    right, left = Cone(2, ineqs=[(1, 0)]), Cone(2, ineqs=[(-1, 0)])
+    y = Poly.linear((0, 1))
+    for cells in ([(right, y), (left, 2 * y)], [(left, 2 * y), (right, y)]):
+        with pytest.raises(NotContinuous):
+            pp_corner_locus(PPFunction(2, 1, cells), line)
+    with pytest.raises(ValueError):
+        pp_corner_locus(PPFunction(3, 1, [(full_space(3), Poly.linear((0, 1, 0)))]),
+                        unit_fan(2))
+
+
 def test_discontinuous_pointed_pieces_detected_by_the_pull_triangulation(monkeypatch):
     # pointed quadrants under the whole plane take the pull-triangulation
     # branch, where each simplex reads the polynomial of its own cell; the
