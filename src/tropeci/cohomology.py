@@ -22,7 +22,7 @@ from .fans import (NotComplementary, WeightedFan, fans_equal,
 from .linalg import canonical_span_rows, dot, in_span, int_vector, kernel_basis, \
     rank, rational_primitive
 from .mci import TCI
-from .plfunc import PLFunction, iterated_corner_locus, refine_with_function
+from .plfunc import PLFunction, corner_locus, iterated_corner_locus, refine_with_function
 
 
 class MissingWitness(ValueError):
@@ -126,8 +126,8 @@ def intersection_number(witnesses: Sequence[CycleWitness]) -> int:
 def self_intersection(tci: TCI, j: int) -> int:
     """Pair the chain's last stage with itself j = n−k+1 times.
 
-    The first k−1 stage functions are applied once each and the last one j
-    times; the weight at the origin of the resulting point fan is the
+    The last function is folded j − 1 more times onto the chain's last fan,
+    which holds each stage once; the weight at the origin is the
     self-pairing of the final stage inside the previous one.
     """
     if tci.collapsed_at is not None:
@@ -135,8 +135,7 @@ def self_intersection(tci: TCI, j: int) -> int:
     n, k = tci.ambient, tci.codim
     if j != n - k + 1:
         raise ValueError(f"power must be {n - k + 1} for this chain, got {j}")
-    factors = list(tci.functions[:-1]) + [tci.functions[-1]] * j
-    return _origin_weight(factors, tci.fans[0])
+    return _origin_weight([tci.functions[-1]] * (j - 1), tci.fans[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +262,12 @@ def irreducibility_certificate(tci: TCI, level: str,
 
     Three increasingly permissive checks on the last stage function m over
     the previous fan: (i) m is nonnegative and not identically zero on the
-    support; (ii) the double fold of m has nonnegative weights and is not
-    zero; (iii) the stage pairs positively against a supplied complementary
-    cycle.  Any pass certifies; failure is always reported as inconclusive,
-    never as a reducibility claim.  The caller is responsible for the
-    analogous property of the earlier stages.
+    support; (ii) the double fold of m, which is m folded onto the chain's
+    last fan, has nonnegative weights and is not zero; (iii) the stage pairs
+    positively against a supplied complementary cycle.  Any pass certifies;
+    failure is always reported as inconclusive, never as a reducibility
+    claim.  The caller is responsible for the analogous property of the
+    earlier stages.
     """
     if level not in ("i", "ii", "iii"):
         raise ValueError(f"unknown certificate level {level!r}")
@@ -280,7 +280,7 @@ def irreducibility_certificate(tci: TCI, level: str,
         nonneg, somewhere = _sign_on_support(last, base)
         return CERTIFIED if nonneg and somewhere else INCONCLUSIVE
     if level == "ii":
-        folded = iterated_corner_locus([last, last], base)
+        folded = corner_locus(last, tci.fans[-1])
         ok = not folded.is_zero() and all(w >= 0 for _, w in folded.cones)
         return CERTIFIED if ok else INCONCLUSIVE
     if g_witness is None:

@@ -180,6 +180,8 @@ class Cone:
         self._dim = self._span = self._key = self._masks = None
         if rays is None and ineqs is None:
             raise ValueError("need generators or inequalities")
+        if not _trusted and ambient < 0:
+            raise ValueError(f"negative ambient dimension {ambient}")
         if not _trusted and (rays is not None or lineality is not None) and \
                 (ineqs is not None or eqs is not None):
             raise ValueError("give generators or constraints, not both")
@@ -441,8 +443,12 @@ def chamber_complex(normals: Sequence, ambient: int) -> list[Cone]:
     """All chambers of the central arrangement with the given normals.
 
     They are the chambers of the whole space, :func:`_span_chambers` started
-    from the standard basis; zero normals cut nothing.
+    from the standard basis; zero normals cut nothing.  Each normal must have
+    the ambient width (ValueError otherwise).
     """
+    normals = [tuple(h) for h in normals]
+    if any(len(h) != ambient for h in normals):
+        raise ValueError(f"normals must have width {ambient}")
     return _span_chambers(normals, _standard_basis(ambient), [], ambient)
 
 

@@ -285,41 +285,35 @@ def euler_from_genera(ms) -> int:
 def tropical_csm(tci: TCI) -> CharClassList:
     """Characteristic classes of a threshold chain.
 
-    Expands the product of the operators delta_i/(1 + delta_i) — where
-    delta_i is the corner locus along the i-th threshold function — to
-    total degree at most n, evaluates every monomial as an iterated corner
-    locus applied to the ambient fan, and adds the results per degree.
-    The classes run from codimension k to n; a collapsed chain has empty
-    intersection and all its classes vanish.
+    The product of the operators δ_i/(1 + δ_i), δ_i the corner locus along
+    the i-th threshold function, is δ_k⋯δ_1 · ∏(1 − δ_i + δ_i² − …), because
+    corner loci commute on balanced cycles (Allermann–Rau 2010, *First steps
+    in tropical intersection theory*, Prop. 3.7).  So every multiset of
+    further factors, indices nondecreasing and at most n − k in all, is
+    folded onto the chain's last fan T_k with sign (−1)^(its size), and the
+    results are added per degree.  The classes run from codimension k to n;
+    all vanish on a collapsed chain, and there are none above codimension n.
     """
-    t0 = tci.fans[0]
-    n = t0.ambient
-    k = tci.codim
-    if tci.collapsed_at is not None:
+    n, k = tci.ambient, tci.codim
+    if tci.collapsed_at is not None or k > n:
         return CharClassList(
             [(d, WeightedFan(n, [], dim=n - d)) for d in range(k, n + 1)])
     buckets = {d: [] for d in range(k, n + 1)}
 
-    def descend(i, fan, degree):
-        if i == k:
-            # coefficient of m_1^{a_1}...m_k^{a_k} in prod m_i/(1 + m_i)
-            buckets[degree].append(((-1) ** (degree - k), fan))
-            return
-        remaining = k - 1 - i
-        current = fan
-        for _ in range(n - degree - remaining):
-            current = corner_locus(tci.functions[i], current)
-            if current.is_zero():
-                break
-            degree += 1
-            descend(i + 1, current, degree)
+    def fold(fan, degree, first):
+        buckets[degree].append(((-1) ** (degree - k), fan))
+        if degree < n:
+            for i in range(first, k):
+                nxt = corner_locus(tci.functions[i], fan)
+                if not nxt.is_zero():
+                    fold(nxt, degree + 1, i)
 
-    descend(0, t0, 0)
+    fold(tci.fans[-1], k, 0)
     classes = []
-    for d in range(k, n + 1):
-        entries = buckets[d]
-        if len(entries) == 1 and entries[0][0] == 1:
-            classes.append((d, entries[0][1]))
+    for d, entries in buckets.items():
+        if len(entries) == 1:
+            coeff, fan = entries[0]
+            classes.append((d, fan.scale(coeff)))
             continue
         pairs = [(cone, coeff * w)
                  for coeff, fan in entries for cone, w in fan.cones]
@@ -328,9 +322,8 @@ def tropical_csm(tci: TCI) -> CharClassList:
 
 
 def euler_from_csm(tci: TCI) -> int:
-    """Weight at the origin of the codimension-n characteristic class."""
+    """Weight at the origin of the codimension-n class; 0 above codimension n."""
     n = tci.ambient
-    for d, fan in tropical_csm(tci).classes:
-        if d == n:
-            return fan.weight_of_point((0,) * n)
-    return 0
+    if tci.codim > n:
+        return 0
+    return tropical_csm(tci).fan(n).weight_of_point((0,) * n)

@@ -61,11 +61,14 @@ def primitive(v) -> Vec:
 def int_vector(v) -> Vec:
     """The entries of v as ints, read exactly; ValueError on a non-integral one.
 
-    Integral floats and Fractions are accepted; nothing is truncated.
+    Integral floats and Fractions are accepted; nothing is truncated.  A
+    string is not a number, even one that spells an integer.
     """
     out = []
     for x in v:
         if not isinstance(x, int):
+            if isinstance(x, str):
+                raise ValueError(f"non-numeric coordinate {x!r}")
             q = Fraction(x)
             if q.denominator != 1:
                 raise ValueError(f"non-integral coordinate {x!r}")

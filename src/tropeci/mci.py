@@ -7,10 +7,10 @@ that select it is full dimensional (``_prefix_regions``).  A child region
 is its parent region cut by the new halfspaces p_a − p_b ≥ 0 through the
 parent's extreme rays, so no region is converted from scratch.  On the
 region of a length-k prefix the k-th threshold function is linear, so the
-regions of each length give that piecewise-linear function, which is folded
-through the corner locus; the regions of full length carry all of them at
-once (``_joint_threshold_cells``).  The weight of the final zero-dimensional
-fan is the generalized BKK number.
+regions of each length give that piecewise-linear function; the regions of
+full length carry all of them at once (``_joint_threshold_cells``).  A chain
+is its base fan and its functions: :class:`TCI` folds the fans itself.  The
+weight of the final zero-dimensional fan is the generalized BKK number.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cones import _cut_cone, full_space
-from .fans import NotBalanced, WeightedFan, fans_equal
-from .linalg import det, dot, rank as mat_rank, vsub
+from .fans import WeightedFan
+from .linalg import det, dot, int_vector, rank as mat_rank, vsub
 from .plfunc import PLFunction, corner_locus
 
 
@@ -54,7 +54,7 @@ class SupportMultiset:
     __slots__ = ("points", "ambient", "_by_id")
 
     def __init__(self, points: Iterable):
-        self.points = [(i, tuple(p)) for i, p in points]
+        self.points = [(i, int_vector(p)) for i, p in points]
         if not self.points:
             raise ValueError("support multiset must be nonempty")
         dims = {len(p) for _, p in self.points}
@@ -213,7 +213,12 @@ class MCI:
 
 
 class TCI:
-    """Chain of weighted fans cut out by successive threshold functions.
+    """Chain of fans T_k = δ_k⋯δ_1·T_0 folded from a base and its functions.
+
+    Each fan is ``corner_locus(m_k, fans[-1])`` with its cones sorted by key
+    (NotBalanced on an unbalanced base).  The fold stops at the first zero
+    fan before the last function, sets ``collapsed_at`` and keeps the
+    functions used; ``codim`` is the number of functions given.
 
     ``mci`` is the MCI the chain was built from, set by :func:`tci_from_mci`
     and None on a chain built by hand.  The shadow route of ``elimination``
@@ -223,30 +228,24 @@ class TCI:
 
     __slots__ = ("fans", "functions", "codim", "collapsed_at", "mci")
 
-    def __init__(self, fans: Sequence[WeightedFan], functions: Sequence[PLFunction],
-                 codim: int | None = None, collapsed_at: int | None = None):
-        self.fans = list(fans)
-        self.functions = list(functions)
-        self.codim = len(self.functions) if codim is None else codim
-        self.collapsed_at = collapsed_at
+    def __init__(self, base: WeightedFan, functions: Sequence[PLFunction]):
+        functions = list(functions)
+        self.codim = len(functions)
+        self.fans = [base]
+        self.collapsed_at = None
         self.mci = None
+        for k, m in enumerate(functions, 1):
+            nxt = corner_locus(m, self.fans[-1])
+            self.fans.append(WeightedFan(base.ambient, sorted(
+                nxt.cones, key=lambda cw: cw[0].key()), dim=nxt.dim))
+            if nxt.is_zero() and k < self.codim:
+                self.collapsed_at = k
+                break
+        self.functions = functions[:len(self.fans) - 1]
 
     @property
     def ambient(self) -> int:
         return self.fans[0].ambient
-
-    def check(self) -> bool:
-        """Recompute every corner locus and compare with the stored chain.
-
-        A stored fan that is not balanced fails the check (NotBalanced from
-        its corner locus), as does a stored fan that differs from the
-        recomputed one.
-        """
-        try:
-            return all(fans_equal(corner_locus(m, self.fans[i]), self.fans[i + 1])
-                       for i, m in enumerate(self.functions))
-        except NotBalanced:
-            return False
 
     def __repr__(self):
         tail = f", collapsed_at={self.collapsed_at}" if self.collapsed_at else ""
@@ -324,17 +323,16 @@ def _prefix_regions(mci: MCI) -> dict:
 
 
 def tci_from_mci(mci: MCI) -> TCI:
-    """Threshold chain of an MCI.
+    """Threshold chain of an MCI, folded from the full space.
 
     Each threshold function is assembled from greedy selection regions: on
     the region of a prefix the k-th selected point is constant, so the
     threshold is linear there, and the regions of one length tile covector
     space.  The cell count stays proportional to the number of distinct
-    selections.
+    selections.  All functions come from one region walk.
     """
     n = mci.ambient
     regions = _prefix_regions(mci)
-    fans = [WeightedFan(n, [(full_space(n), 1)])]
     functions = []
     for k in range(1, mci.codim + 1):
         seen = {}
@@ -342,17 +340,8 @@ def tci_from_mci(mci: MCI) -> TCI:
             region = regions[prefix]
             covector = mci.support.point(prefix[-1])
             seen[(region.key(), covector)] = (region, covector)
-        m_k = PLFunction(n, sorted(seen.values(), key=lambda cl: cl[0].key()))
-        nxt = corner_locus(m_k, fans[-1])
-        nxt = WeightedFan(n, sorted(nxt.cones, key=lambda cw: cw[0].key()),
-                          dim=nxt.dim)
-        functions.append(m_k)
-        fans.append(nxt)
-        if nxt.is_zero() and k < mci.codim:
-            tci = TCI(fans, functions, codim=mci.codim, collapsed_at=k)
-            break
-    else:
-        tci = TCI(fans, functions, codim=mci.codim)
+        functions.append(PLFunction(n, sorted(seen.values(), key=lambda cl: cl[0].key())))
+    tci = TCI(WeightedFan(n, [(full_space(n), 1)]), functions)
     tci.mci = mci
     return tci
 

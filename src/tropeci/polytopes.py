@@ -302,6 +302,8 @@ def mixed_volume_ie(polys: Sequence[LatticePolytope]) -> Fraction:
     """
     from math import factorial
 
+    if not polys:
+        raise ValueError("need exactly n polytopes in dimension n, got none")
     n = polys[0].ambient
     if len(polys) != n:
         raise ValueError("need exactly n polytopes in dimension n")

@@ -57,6 +57,13 @@ def test_a_cone_takes_generators_or_constraints_not_both(kwargs):
         Cone(2, **kwargs)
 
 
+def test_a_cone_rejects_a_negative_ambient_dimension():
+    with pytest.raises(ValueError):
+        Cone(-1, rays=[])
+    with pytest.raises(ValueError):
+        Cone(-1, ineqs=[])
+
+
 def test_redundant_generator_dropped():
     c = Cone(2, rays=[(1, 0), (0, 1), (1, 1)])
     assert c.rays == [(0, 1), (1, 0)]
@@ -127,6 +134,13 @@ def test_chambers_non_essential():
 
 def test_zero_normals_cut_nothing():
     assert len(chamber_complex([(0, 0), (1, 0), (0, 0)], 2)) == 2
+
+
+def test_chamber_normals_must_have_the_ambient_width():
+    with pytest.raises(ValueError):
+        chamber_complex([(1, 0, 0)], 2)
+    with pytest.raises(ValueError):
+        chamber_complex([(1, 0), (1,)], 2)
 
 
 def test_chambers_equal_the_conversion_of_their_constraints():

@@ -377,7 +377,7 @@ def test_a_hand_built_chain_has_no_mci_to_restrict():
     tci = tci_from_mci(mci)
     assert eliminant_support_value(tci, (1, 1)) == 2
     with pytest.raises(MissingMCI):
-        eliminant_support_value(TCI(tci.fans, tci.functions, codim=2), (1, 1))
+        eliminant_support_value(TCI(tci.fans[0], tci.functions), (1, 1))
 
 
 def test_collapsed_intersection_is_rejected():

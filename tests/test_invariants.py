@@ -1,13 +1,16 @@
 """Valuations of virtual polytopes, Hirzebruch genera, and CSM classes."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropeci import invariants
 from tropeci.cones import Cone, full_space
-from tropeci.fans import NotBalanced, WeightedFan, fans_equal, is_balanced
+from tropeci.fans import NotBalanced, WeightedFan, consolidate, fans_equal, is_balanced
 from tropeci.invariants import (
     GenusIndexOutOfRange,
     VirtualPolytope,
@@ -20,9 +23,10 @@ from tropeci.invariants import (
     val_decompose,
     volume_valuation,
 )
-from tropeci.mci import TCI, bkk_number, classical_mci, tci_from_mci
+from tropeci.mci import MCI, TCI, Matroid, SupportMultiset, bkk_number, classical_mci, \
+    tci_from_mci
 from tropeci.oracles import boundary_lattice_points, random_lattice_polytope
-from tropeci.plfunc import corner_locus, pl_from_polytope
+from tropeci.plfunc import corner_locus, iterated_corner_locus, pl_from_polytope
 from tropeci.polytopes import LatticePolytope, mixed_volume_ie
 
 HEXAGON = LatticePolytope([(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
@@ -304,7 +308,7 @@ def test_euler_needs_enough_dimensions():
 
 
 def test_csm_of_bare_torus():
-    tci = TCI([unit_fan(2)], [])
+    tci = TCI(unit_fan(2), [])
     classes = tropical_csm(tci).classes
     assert [d for d, _ in classes] == [0, 1, 2]
     assert fans_equal(classes[0][1], unit_fan(2))
@@ -348,15 +352,11 @@ def test_csm_of_a_surface():
 
 
 def test_csm_of_an_unbalanced_chain_raises():
-    # weights 1 and 2 on the two half-planes leave the x-axis unbalanced
+    # weights 1 and 2 on the two half-planes leave the x-axis unbalanced; the
+    # chain folds its first corner locus on construction, so it raises there
     upper, lower = Cone(2, ineqs=[(0, 1)]), Cone(2, ineqs=[(0, -1)])
-    tci = TCI([WeightedFan(2, [(upper, 1), (lower, 2)]), WeightedFan(2, [], dim=1)],
-              [pl_from_polytope(triangle(1))])
     with pytest.raises(NotBalanced):
-        tropical_csm(tci)
-    with pytest.raises(NotBalanced):
-        euler_from_csm(tci)
-    assert tci.check() is False
+        TCI(WeightedFan(2, [(upper, 1), (lower, 2)]), [pl_from_polytope(triangle(1))])
 
 
 def test_csm_of_collapsed_chain_vanishes():
@@ -366,3 +366,67 @@ def test_csm_of_collapsed_chain_vanishes():
     assert [d for d, _ in classes] == [2]
     assert all(fan.is_zero() for _, fan in classes)
     assert euler_from_csm(tci) == 0 == bkk_number(tci)
+
+
+def test_csm_of_an_overdetermined_chain_is_empty():
+    blocks = [[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (0, 1)], [(0, 0), (1, 1), (0, 1)]]
+    tci = tci_from_mci(classical_mci(blocks))
+    assert tropical_csm(tci).classes == []
+    assert euler_from_csm(tci) == 0
+
+
+# -- random chains in Z^3 -------------------------------------------------------
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_random_euler_characteristics_agree_across_routes(seed, k):
+    rng = Random(seed)
+    polys = [random_lattice_polytope(rng, 3, rng.randint(4, 5), box=2)
+             for _ in range(k)]
+    ms = [VirtualPolytope(p) for p in polys]
+    genera = sum(hirzebruch_chi_p(ms, p) for p in range(3 - k + 1))
+    tci = tci_from_mci(classical_mci([p.vertices for p in polys]))
+    assert genera == euler_from_genera(ms) == euler_from_csm(tci)
+
+
+def random_chain(seed, k, classical):
+    """A classical or generic MCI of codimension k in Z^3, and its chain."""
+    rng = Random(seed)
+    if classical:
+        blocks = [random_lattice_polytope(rng, 3, rng.randint(4, 5), box=2).vertices
+                  for _ in range(k)]
+        return tci_from_mci(classical_mci(blocks))
+    while True:
+        ids = [f"a{i}" for i in range(rng.randint(k + 2, 6))]
+        points = [tuple(rng.randint(-1, 2) for _ in range(3)) for _ in ids]
+        cols = {i: tuple(rng.randint(-2, 2) for _ in range(k)) for i in ids}
+        matroid = Matroid.from_matrix(cols)
+        if matroid.rank(ids) == k:
+            return tci_from_mci(MCI(SupportMultiset(zip(ids, points)), matroid, k))
+
+
+def csm_by_monomials(tci, d):
+    """Σ over a ≥ 1 with |a| = d of (−1)^(d−k)·m_1^{a_1}⋯m_k^{a_k}·T_0, the
+    expansion of ∏ m_i/(1 + m_i) in degree d, each monomial folded from T_0."""
+    n, k = tci.ambient, tci.codim
+    pairs = []
+    for a in product(range(1, d - k + 2), repeat=k):
+        if sum(a) == d:
+            factors = [m for m, e in zip(tci.functions, a) for _ in range(e)]
+            fan = iterated_corner_locus(factors, tci.fans[0])
+            pairs += [(cone, (-1) ** (d - k) * w) for cone, w in fan.cones]
+    return consolidate(pairs, n, n - d)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.booleans())
+def test_random_classes_equal_the_expanded_product(seed, k, classical):
+    tci = random_chain(seed, k, classical)
+    csm = tropical_csm(tci)
+    assert [d for d, _ in csm.classes] == list(range(k, 4))
+    if tci.collapsed_at is not None:
+        assert all(fan.is_zero() for _, fan in csm.classes)
+        return
+    for d, fan in csm.classes:
+        assert fans_equal(fan, csm_by_monomials(tci, d))

@@ -137,6 +137,13 @@ def test_int_vector_reads_integers_exactly():
             int_vector(bad)
 
 
+def test_int_vector_rejects_a_string_that_spells_an_integer():
+    with pytest.raises(ValueError):
+        int_vector(("1",))
+    with pytest.raises(ValueError):
+        int_vector((1, "2"))
+
+
 def test_det_and_rank():
     assert det([(1, 2), (3, 4)]) == -2
     assert det([(2, 0, 0), (0, 3, 0), (0, 0, 4)]) == 24

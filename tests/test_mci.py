@@ -1,5 +1,6 @@
 """Matroid thresholds, TCI chains, and generalized BKK numbers."""
 
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropeci.cones import Cone
-from tropeci.fans import WeightedFan
+from tropeci.fans import WeightedFan, fans_equal
 from tropeci.linalg import dot, vsub
 from tropeci.mci import (
     MAX_TABLE_GROUND,
@@ -29,6 +30,7 @@ from tropeci.mci import (
     tci_threshold,
 )
 from tropeci.oracles import random_lattice_polytope
+from tropeci.plfunc import corner_locus
 from tropeci.polytopes import LatticePolytope, mixed_volume_ie
 
 
@@ -214,7 +216,8 @@ def test_hexagon_chain_frozen():
 
 def test_chain_invariants_recheck():
     tci = tci_from_mci(hexagon_mci())
-    assert tci.check()
+    for i, m in enumerate(tci.functions, 1):
+        assert fans_equal(corner_locus(m, tci.fans[i - 1]), tci.fans[i])
     # thresholds are continuous and nested on the supporting fans
     for m in tci.functions:
         assert m.check_continuity()
@@ -222,6 +225,24 @@ def test_chain_invariants_recheck():
     for cone, _ in tci.fans[1].cones:
         x = cone.relint_point()
         assert m2.value(x) <= m1.value(x)
+
+
+def test_a_hand_built_chain_folds_its_own_fans():
+    tci = tci_from_mci(hexagon_mci())
+    again = TCI(tci.fans[0], tci.functions)
+    assert again.codim == 2 and again.collapsed_at is None and again.mci is None
+    assert all(fans_equal(a, b) for a, b in zip(again.fans, tci.fans))
+    assert bkk_number(again) == bkk_number(tci) == 3
+
+
+def test_support_points_are_read_exactly():
+    with pytest.raises(ValueError, match="non-integral coordinate"):
+        SupportMultiset([("a", (0.5, 0))])
+    with pytest.raises(ValueError, match="non-integral coordinate"):
+        classical_mci([[(0.5, 0), (1, 0)]])
+    support = SupportMultiset([("a", (1.0, Fraction(4, 2)))])
+    assert support.point("a") == (1, 2)
+    assert all(type(x) is int for x in support.point("a"))
 
 
 def test_loops_are_dropped():

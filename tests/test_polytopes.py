@@ -148,6 +148,11 @@ def test_fractional_coordinates_are_rejected_not_truncated():
     assert LatticePolytope([(2.0, Fraction(4, 2)), (0, 0)]).vertices == [(0, 0), (2, 2)]
 
 
+def test_mixed_volume_of_no_polytopes_raises():
+    with pytest.raises(ValueError):
+        mixed_volume_ie([])
+
+
 def test_fractional_translations_are_rejected_not_truncated():
     with pytest.raises(ValueError):
         TRIANGLE.translate((0.5, 0))
