@@ -132,6 +132,8 @@ def self_intersection(tci: TCI, j: int) -> int:
     """
     if tci.collapsed_at is not None:
         raise ValueError("chain collapsed before its final stage")
+    if not tci.functions:
+        raise ValueError("chain has no stage functions")
     n, k = tci.ambient, tci.codim
     if j != n - k + 1:
         raise ValueError(f"power must be {n - k + 1} for this chain, got {j}")

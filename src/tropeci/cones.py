@@ -18,7 +18,10 @@ rays and lineality; threshold regions, refinement pieces and overlaps are
 built that way from their parents, with no from-scratch conversion.
 Pairwise work on cell lists also lives here: :func:`overlaps` lists the
 pairs of cones that meet off the origin, and :func:`common_refinement`
-cuts tagged cones by cell lists.
+cuts tagged cones by cell lists.  So does the package's one triangulation,
+:func:`_pull_triangulate`, which pulls a pointed cone's smallest ray over
+its facets; it triangulates the fans of the Courant engine and the
+homogenization cones whose simplices give polytope volumes.
 """
 
 from __future__ import annotations
@@ -477,3 +480,22 @@ def _span_chambers(normals: Sequence, basis: Sequence, eqs: Sequence,
         cells = nxt
     return [Cone(ambient, rays=rays, lineality=lin, ineqs=signed, eqs=eqs, _trusted=True)
             for rays, _, lin, signed in cells]
+
+
+# ---------------------------------------------------------------------------
+# pulling triangulation
+
+
+def _pull_triangulate(cone: Cone) -> list:
+    """Pulling triangulation of a pointed cone, as sorted ray tuples.
+
+    The smallest extreme ray is joined to the triangulation of every facet
+    that misses it, so a face is triangulated the same way in every cone
+    that contains it.
+    """
+    rays = cone.rays
+    if len(rays) == cone.dim:
+        return [tuple(sorted(rays))]
+    r0 = min(rays)
+    return [tuple(sorted(simplex + (r0,))) for facet in cone.facets()
+            if r0 not in facet.rays for simplex in _pull_triangulate(facet)]

@@ -7,7 +7,8 @@ hyperplane) and its equations the affine hull, so the vertex list, the
 dimension, the facet list and the containment tests all read one cone.
 Volumes are normalized: the ``normalized_volume`` of P is n!·(Euclidean
 volume), the natural scale for lattice geometry (a fundamental simplex has
-volume 1).
+volume 1).  They are read off the same cone, pulled into simplices by
+``cones._pull_triangulate``, the triangulation of the Courant engine.
 
 The hull (a double conversion) runs only when the vertices are unknown.
 Where the points are provably the vertices, ``_from_vertices`` trusts them
@@ -15,10 +16,8 @@ and the cone converts once, when the facets are first asked for:
 
 * ``translate`` and ``dilate`` (k > 0) are affine bijections, which map
   vertices to vertices, and ``dilate(0)`` and a single point are one point;
-* a face's vertices are the vertices of P on it (the facets in
-  ``normalized_volume``, the faces in ``invariants.val_decompose``);
-* ``relative_normalized_volume`` maps P by lattice coordinates in a
-  saturated basis of its span, an injective affine map;
+* a face's vertices are the vertices of P on it (the faces in
+  ``invariants.val_decompose``);
 * ``minkowski_sum`` with a one-point summand is a translate.
 
 A general ``minkowski_sum`` still takes the hull of all pairwise sums.
@@ -28,19 +27,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .cones import Cone
+from .cones import Cone, _pull_triangulate, full_space
 from .linalg import (
-    coordinates_in_basis,
-    det,
     dot,
     int_vector,
     is_zero,
     saturation_basis,
+    sublattice_index,
     vadd,
-    vgcd,
     vsub,
 )
 
@@ -104,18 +101,13 @@ class LatticePolytope:
     def facets(self) -> list:
         """Irredundant facet inequalities (a, b), meaning a·x + b ≥ 0 on P.
 
-        Each pair is normalized so that a is a primitive integer normal;
-        b is then an integer because every facet contains lattice points.
+        The cone's rows (a, b) are primitive, and b = −a·v at a vertex v,
+        so a is already a primitive integer normal.
         """
         if self._facets is None:
-            out = []
-            for row in self._cone.ineqs:
-                a, b = row[:-1], row[-1]
-                if is_zero(a):
-                    continue  # the far hyperplane of the homogenization
-                g = vgcd(a)
-                out.append((tuple(x // g for x in a), b // g))
-            self._facets = sorted(out)
+            # a zero a is the far hyperplane of the homogenization
+            self._facets = sorted((row[:-1], row[-1]) for row in self._cone.ineqs
+                                  if not is_zero(row[:-1]))
         return self._facets
 
     def affine_eqs(self) -> list:
@@ -157,7 +149,6 @@ class LatticePolytope:
         for v in self.vertices:
             ineqs = [vsub(v, w) for w in self.vertices if w != v]
             if not ineqs:
-                from .cones import full_space
                 out.append((full_space(self.ambient), v))
                 continue
             out.append((Cone(self.ambient, ineqs=ineqs), v))
@@ -220,38 +211,18 @@ class LatticePolytope:
         return len(self.lattice_points())
 
     def normalized_volume(self) -> int:
-        """n!·vol(P) in the ambient lattice; 0 when dim P < n.
-
-        A simplex is one determinant; otherwise P is coned from its first
-        vertex over the facets that miss it, each facet's relative volume
-        times its lattice distance from that vertex.
-        """
-        if self.dim < self.ambient:
-            return 0
-        verts = self.vertices
-        v0 = verts[0]
-        if len(verts) == self.ambient + 1:
-            return abs(det([vsub(v, v0) for v in verts[1:]]))
-        total = 0
-        for a, b in self.facets():
-            h = dot(a, v0) + b
-            if h:
-                face = [v for v in verts if dot(a, v) + b == 0]
-                total += h * LatticePolytope._from_vertices(face).relative_normalized_volume()
-        return total
+        """n!·vol(P) in the ambient lattice; 0 when dim P < n."""
+        return self.relative_normalized_volume() if self.dim == self.ambient else 0
 
     def relative_normalized_volume(self) -> int:
-        """d!·vol(P) with respect to the lattice of P's own span (d = dim P)."""
-        if self.dim == 0:
-            return 1
-        basis = self.span_rows()
-        v0 = self.vertices[0]
-        pts = []
-        for v in self.vertices:
-            coords = coordinates_in_basis(basis, vsub(v, v0))
-            pts.append(int_vector(coords))
-        # an injective affine map sends the vertices to the image's vertices
-        return LatticePolytope._from_vertices(pts).normalized_volume()
+        """d!·vol(P) with respect to the lattice of P's own span (d = dim P).
+
+        The pulling triangulation of the homogenization cone splits P into
+        lattice simplices; the lifted vertices (v, 1) of a simplex span a
+        lattice whose index in its saturation is d!·vol of the simplex,
+        relative to its own affine lattice, which is P's.
+        """
+        return sum(map(sublattice_index, _pull_triangulate(self._cone)))
 
     # -- constructions -----------------------------------------------------------
 
@@ -300,8 +271,6 @@ def mixed_volume_ie(polys: Sequence[LatticePolytope]) -> Fraction:
     Σ_{∅≠S⊆[n]} (−1)^{n−|S|} vol(Σ_{i∈S} P_i) with vol = normalized/n!
     already carries the n! once, e.g. two unit squares give 4 − 1 − 1 = 2.
     """
-    from math import factorial
-
     if not polys:
         raise ValueError("need exactly n polytopes in dimension n, got none")
     n = polys[0].ambient

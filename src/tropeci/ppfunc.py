@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, common_refinement
+from .cones import Cone, _pull_triangulate, chamber_complex, common_refinement
 from .fans import NotContinuous, WeightedFan, _wall_step
 from .linalg import dot, inverse_rows, sign_normalized, sublattice_index
 from .plfunc import PLFunction, _agree_on_overlaps
@@ -252,15 +252,6 @@ def simplicial_refinement(cones: Sequence[Cone], ambient: int) -> list:
     return list(triangulate_complete_fan(chamber_complex(sorted(normals), ambient), ambient))
 
 
-def _pull_triangulate(cone: Cone) -> list:
-    rays = cone.rays
-    if len(rays) == cone.dim:
-        return [tuple(sorted(rays))]
-    r0 = min(rays)
-    return [tuple(sorted(simplex + (r0,))) for facet in cone.facets()
-            if r0 not in facet.rays for simplex in _pull_triangulate(facet)]
-
-
 def _barycentric(simplex: tuple) -> list:
     """Covector rows of the hats of a simplex's rays, in the simplex's order."""
     mat, den = inverse_rows(list(zip(*simplex)))
@@ -281,11 +272,12 @@ def courant_hats(simplices: Sequence, ambient: int) -> dict:
 def triangulate_complete_fan(cells: Sequence[Cone], ambient: int) -> dict:
     """Pull-triangulation of a complete face-to-face fan with pointed cones.
 
-    Shared faces are triangulated identically because the recursion always
-    pulls the lexicographically smallest ray of the current cone, a choice
-    that depends on the face alone.  Returns a dict from each
-    full-dimensional simplex, a sorted ray tuple, to the position of the
-    cell it was triangulated from, in the order of the triangulation.
+    Each cell goes through ``cones._pull_triangulate``, the package's one
+    pulling triangulation.  Shared faces are triangulated identically
+    because it always pulls the lexicographically smallest ray of the
+    current cone, a choice that depends on the face alone.  Returns a dict
+    from each full-dimensional simplex, a sorted ray tuple, to the position
+    of the cell it was triangulated from, in the order of the triangulation.
     """
     if any(cone.lineality for cone in cells):
         raise ValueError("cells must be pointed")

@@ -27,7 +27,7 @@ from tropeci.cohomology import (
 )
 from tropeci.cones import Cone, full_space
 from tropeci.fans import NotComplementary, WeightedFan, fans_equal
-from tropeci.mci import bkk_number, classical_mci, tci_from_mci
+from tropeci.mci import TCI, bkk_number, classical_mci, tci_from_mci
 from tropeci.oracles import polygon_curve_rays, random_lattice_polytope
 from tropeci.plfunc import pl_from_polytope
 from tropeci.polytopes import LatticePolytope, mixed_volume_ie
@@ -161,6 +161,12 @@ def test_collapsed_chain_has_no_self_intersection():
     assert collapsed.collapsed_at == 1
     with pytest.raises(ValueError):
         self_intersection(collapsed, 1)
+
+
+def test_chain_without_functions_has_no_self_intersection():
+    bare = TCI(WeightedFan(2, [(full_space(2), 1)]), [])
+    with pytest.raises(ValueError, match="chain has no stage functions"):
+        self_intersection(bare, 3)
 
 
 # -- symmetric pairing tables and their inertia --------------------------------

@@ -6,8 +6,9 @@ with no linter installed, unused imports, private helpers that nothing
 calls any more and options that no caller sets would pile up unnoticed.  So
 would hand-written copies of the ``linalg`` vector kernels, which bring back
 the slow generator form that those kernels replaced with C-level builtins,
-and reads of a ``Cone``'s private slots outside ``cones``, which recover
-what a ``Cone`` method should hand over.
+reads of a ``Cone``'s private slots outside ``cones``, which recover
+what a ``Cone`` method should hand over, and imports tucked into function
+bodies, which hide a module's dependencies from its header.
 """
 
 import ast
@@ -94,6 +95,34 @@ def test_the_unused_import_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _local_imports(source: str) -> list:
+    """(line, name) for every name imported inside a function body."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.update((inner.lineno, alias.name) for inner in ast.walk(node)
+                       if isinstance(inner, (ast.Import, ast.ImportFrom))
+                       for alias in inner.names)
+    return sorted(out)
+
+
+# the one lazy import: oracles needs sympy for one resultant oracle only, so
+# importing the package does not import sympy
+LAZY_IMPORTS = {("oracles.py", "sympy")}
+
+
+def test_the_local_import_check_sees_a_leftover():
+    source = ("import os\n\ndef f():\n    import sys\n    return sys\n\n"
+              "class C:\n    def m(self):\n        from math import gcd, lcm\n")
+    assert _local_imports(source) == [(4, "sys"), (9, "gcd"), (9, "lcm")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_live_at_module_top(path):
+    assert [(line, name) for line, name in _local_imports(path.read_text())
+            if (path.name, name) not in LAZY_IMPORTS] == []
 
 
 def _private_definitions(tree) -> list:

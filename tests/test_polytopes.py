@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
+import polytope_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,6 +260,7 @@ def _assert_same_polytope(p, fresh):
     assert p.vertices == fresh.vertices
     assert p.dim == fresh.dim
     assert p.facets() == fresh.facets()
+    assert all(vgcd(a) == 1 for a, _ in p.facets())
     assert p.affine_eqs() == fresh.affine_eqs()
     assert p.normalized_volume() == fresh.normalized_volume()
     box = [range(min(v[i] for v in fresh.vertices), max(v[i] for v in fresh.vertices) + 1)
@@ -281,12 +283,37 @@ def test_trusted_constructions_equal_fresh_hulls_of_their_points(points, data):
              (p.minkowski_sum(other), [vadd(v, w) for v in p.vertices for w in other.vertices])]
     built += [(p.dilate(k), [tuple(k * x for x in v) for v in p.vertices]) for k in range(4)]
     built += [(LatticePolytope._from_vertices(f), f) for f in p.faces()]
-    if p.dim:  # the span-coordinate polytope of relative_normalized_volume
+    if p.dim:  # an injective lattice image, as the facet-coning volume reference builds
         coords = [tuple(int(c) for c in coordinates_in_basis(p.span_rows(), vsub(v, p.vertices[0])))
                   for v in p.vertices]
         built.append((LatticePolytope._from_vertices(coords), coords))
     for q, pts in built:
         _assert_same_polytope(q, LatticePolytope(pts))
+
+
+@st.composite
+def volume_point_sets(draw):
+    """Points in ℤ¹–ℤ⁴, or points x of ℤᵐ put on a lattice hyperplane of ℤᵐ⁺¹
+    by inserting the coordinate c·x + d at a random place."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n), min_size=n + 1,
+                             max_size=n + 5, unique=True))
+    m = draw(st.integers(1, 3))
+    base = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * m), min_size=m + 1,
+                         max_size=m + 4, unique=True))
+    c = draw(st.tuples(*[st.integers(-2, 2)] * m))
+    d = draw(st.integers(-2, 2))
+    at = draw(st.integers(0, m))
+    return [x[:at] + (dot(c, x) + d,) + x[at:] for x in base]
+
+
+@settings(max_examples=60)
+@given(volume_point_sets())
+def test_volumes_equal_the_facet_coning_reference(points):
+    p = LatticePolytope(points)
+    assert p.normalized_volume() == polytope_reference.normalized_volume(p)
+    assert p.relative_normalized_volume() == polytope_reference.relative_normalized_volume(p)
 
 
 def test_lattice_points_refuse_too_many_lines_or_points(monkeypatch):
