@@ -5,18 +5,22 @@ nested chain of weighted fans.  It walks the prefixes of the matroid greedy
 selection depth first, keeping a prefix only while the cone of covectors
 that select it is full dimensional (``_prefix_regions``).  A child region
 is its parent region cut by the new halfspaces p_a − p_b ≥ 0 through the
-parent's extreme rays, so no region is converted from scratch.  On the
-region of a length-k prefix the k-th threshold function is linear, so the
-regions of each length give that piecewise-linear function; the regions of
-full length carry all of them at once (``_joint_threshold_cells``).  A chain
-is its base fan and its functions: :class:`TCI` folds the fans itself.  The
-weight of the final zero-dimensional fan is the generalized BKK number.
+parent's extreme rays, so no region is converted from scratch
+(``_children``).  On the region of a length-k prefix the k-th threshold
+function is linear, so the regions of each length give that
+piecewise-linear function (:class:`ThresholdFunction`, whose values are a
+greedy selection); the regions of full length carry all of them at once
+(``_joint_threshold_cells``).  A chain is its base fan and its functions:
+:class:`TCI` folds the fans itself.  The last fold of a full-codimension
+chain lands on a curve, where the corner locus reads the last function by
+its values, so its regions are never cut there.  The weight of the final
+zero-dimensional fan is the generalized BKK number.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cones import _cut_cone, full_space
 from .fans import WeightedFan
@@ -275,73 +279,120 @@ def tci_threshold(matroid: Matroid, support: SupportMultiset, k: int, l):
     """Best worst value l(a) over independent k-subsets of the support.
 
     Equals the k-th value selected by the matroid greedy walk, and the
-    largest m such that {a : l(a) ≥ m} has rank at least k.
+    largest m such that {a : l(a) ≥ m} has rank at least k.  l must be a
+    covector of the support's lattice (ValueError otherwise).
     """
+    if len(l) != support.ambient:
+        raise ValueError(f"covector of length {len(l)}, support in ℤ^{support.ambient}")
     if matroid.rank(support.ids()) < k:
         raise RankDeficient(f"rank < {k}")
     chosen = _greedy_selection(matroid, support, l, k)
     return dot(l, support.point(chosen[-1]))
 
 
-def _prefix_regions(mci: MCI) -> dict:
-    """Selection regions of every greedy prefix that covers an open cone.
+def _children(mci: MCI, prefix: tuple, region) -> Iterator:
+    """(prefix + (a,), region) for each a whose selection region is full dimensional.
 
-    Depth-first extension: a prefix is kept when its region is full
-    dimensional, and only kept prefixes are extended (regions shrink along a
-    prefix, so the pruning is exact).  The region of prefix + (a,) is the
-    region of the prefix cut by p_a − p_b ≥ 0 for the other eligible b; the
-    cut goes through the parent's extreme rays and stops as soon as one
-    halfspace leaves no ray on its positive side.  Eligible ids that share a
-    point have identical regions, so each prefix cuts once per distinct
-    point; each id still gets its own child prefix, because what is eligible
-    after it depends on the id.  The union of the kept regions of each length
-    covers covector space, so nothing else is ever needed.
+    The region of prefix + (a,) is the prefix's region cut by p_a − p_b ≥ 0
+    for the other eligible b; the cut goes through the parent's extreme rays
+    and stops as soon as one halfspace leaves no ray on its positive side.
+    Eligible ids that share a point have identical regions, so each prefix
+    cuts once per distinct point; each id still gets its own child prefix,
+    because what is eligible after it depends on the id.
     """
     n = mci.ambient
-    ids = sorted(mci.support.ids())
-    regions = {(): full_space(n)}
+    chosen = list(prefix)
+    r = len(prefix)
+    eligible = [a for a in sorted(mci.support.ids())
+                if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+    cuts = {}
+    for a in eligible:
+        p = mci.support.point(a)
+        if p not in cuts:
+            diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
+            cuts[p] = _cut_cone(region, diffs, [], n)
+        if cuts[p] is not None:
+            yield prefix + (a,), cuts[p]
+
+
+def _prefix_regions(mci: MCI, depth: int) -> dict:
+    """Selection regions of every greedy prefix of length ≤ depth that covers
+    an open cone.
+
+    Depth-first extension by :func:`_children`: a prefix is kept when its
+    region is full dimensional, and only kept prefixes are extended (regions
+    shrink along a prefix, so the pruning is exact).  The union of the kept
+    regions of each length covers covector space, so nothing else is ever
+    needed.
+    """
+    regions = {(): full_space(mci.ambient)}
     stack = [()]
     while stack:
         prefix = stack.pop()
-        if len(prefix) == mci.codim:
+        if len(prefix) >= depth:
             continue
-        chosen = list(prefix)
-        r = len(prefix)
-        eligible = [a for a in ids
-                    if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
-        cuts = {}
-        for a in eligible:
-            p = mci.support.point(a)
-            if p not in cuts:
-                diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
-                cuts[p] = _cut_cone(regions[prefix], diffs, [], n)
-            cone = cuts[p]
-            if cone is not None:
-                regions[prefix + (a,)] = cone
-                stack.append(prefix + (a,))
+        for child, region in _children(mci, prefix, regions[prefix]):
+            regions[child] = region
+            stack.append(child)
     return regions
+
+
+class ThresholdFunction(PLFunction):
+    """The k-th threshold function m_k of an MCI, read by its values.
+
+    ``value(x)`` is :func:`tci_threshold`, a greedy selection that scans no
+    cell.  The cells are the selection regions of the length-k prefixes,
+    each with the covector of its k-th point; ``regions`` is a region walk
+    (:func:`_prefix_regions`) of depth k − 1 or more, and when it stopped at
+    k − 1 the cells are tiled on first use by cutting one more level
+    (:func:`_children`), so nothing is walked again from the root.
+    """
+
+    __slots__ = ("mci", "k", "_regions", "_cells")
+
+    def __init__(self, mci: MCI, k: int, regions: dict):
+        self.ambient = mci.ambient
+        self.mci, self.k, self._regions, self._cells = mci, k, regions, None
+
+    def value(self, x):
+        return tci_threshold(self.mci.matroid, self.mci.support, self.k, x)
+
+    @property
+    def cells(self) -> list:
+        if self._cells is None:
+            level = {p: r for p, r in self._regions.items() if len(p) == self.k}
+            if not level:
+                level = dict(child for p, r in self._regions.items()
+                             if len(p) == self.k - 1
+                             for child in _children(self.mci, p, r))
+            seen = {}
+            for prefix in sorted(level):
+                region = level[prefix]
+                covector = self.mci.support.point(prefix[-1])
+                seen[(region.key(), covector)] = (region, covector)
+            self._cells = sorted(seen.values(), key=lambda cl: cl[0].key())
+        return self._cells
+
+    def __repr__(self):
+        return f"ThresholdFunction(k={self.k}, ambient={self.ambient})"
 
 
 def tci_from_mci(mci: MCI) -> TCI:
     """Threshold chain of an MCI, folded from the full space.
 
-    Each threshold function is assembled from greedy selection regions: on
-    the region of a prefix the k-th selected point is constant, so the
+    The k-th threshold function is a :class:`ThresholdFunction`: on the
+    region of a length-k prefix the k-th selected point is constant, so the
     threshold is linear there, and the regions of one length tile covector
     space.  The cell count stays proportional to the number of distinct
-    selections.  All functions come from one region walk.
+    selections.  One region walk serves all functions.  It stops at depth
+    codim − 1 on a full-codimension MCI: the last function is folded onto
+    the curve T_{n−1}, where ``corner_locus`` reads it by its values, so the
+    regions of length n are cut only if its cells are asked for.
     """
     n = mci.ambient
-    regions = _prefix_regions(mci)
-    functions = []
-    for k in range(1, mci.codim + 1):
-        seen = {}
-        for prefix in sorted(p for p in regions if len(p) == k):
-            region = regions[prefix]
-            covector = mci.support.point(prefix[-1])
-            seen[(region.key(), covector)] = (region, covector)
-        functions.append(PLFunction(n, sorted(seen.values(), key=lambda cl: cl[0].key())))
-    tci = TCI(WeightedFan(n, [(full_space(n), 1)]), functions)
+    regions = _prefix_regions(mci, mci.codim - 1 if mci.codim == n else mci.codim)
+    tci = TCI(WeightedFan(n, [(full_space(n), 1)]),
+              [ThresholdFunction(mci, k, regions) for k in range(1, mci.codim + 1)])
     tci.mci = mci
     return tci
 
@@ -356,7 +407,7 @@ def _joint_threshold_cells(mci: MCI) -> list:
     distinct region: equal full-dimensional regions carry equal covectors.
     """
     cells = {}
-    for prefix, region in _prefix_regions(mci).items():
+    for prefix, region in _prefix_regions(mci, mci.codim).items():
         if len(prefix) == mci.codim:
             cells.setdefault(region.key(),
                              (region, tuple(mci.support.point(a) for a in prefix)))

@@ -12,13 +12,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Cone, chamber_complex, common_refinement, full_space, overlaps
-from .fans import WeightedFan, _wall_step
+from .cones import (
+    Cone,
+    _standard_basis,
+    chamber_complex,
+    common_refinement,
+    full_space,
+    overlaps,
+)
+from .fans import NotBalanced, NotContinuous, WeightedFan, _wall_step
 from .linalg import (
     dot,
     kernel_basis,
+    primitive,
     sign_normalized,
     vadd,
+    vneg,
     vscale,
     vsub,
 )
@@ -50,10 +59,19 @@ class PLFunction:
                                  f"{len(l)}, function on ℝ^{ambient}")
 
     def value(self, x):
-        for cone, l in self.cells:
-            if cone.contains(x):
-                return dot(l, x)
-        raise ValueError(f"point {x} outside the domain")
+        """m(x) from the cells containing x.
+
+        Raises ValueError when x is not a point of ℝ^ambient or lies in no
+        cell, and NotContinuous when two cells containing x disagree at x.
+        """
+        if len(x) != self.ambient:
+            raise ValueError(f"point of length {len(x)}, function on ℝ^{self.ambient}")
+        values = {dot(l, x) for cone, l in self.cells if cone.contains(x)}
+        if not values:
+            raise ValueError(f"point {x} outside the domain")
+        if len(values) > 1:
+            raise NotContinuous(f"cells containing {x} give the values {sorted(values)}")
+        return values.pop()
 
     def scale(self, c) -> "PLFunction":
         return PLFunction(self.ambient,
@@ -140,21 +158,54 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan) -> WeightedFan:
     cycle is unbalanced there or a piece is subdivided differently from its
     neighbour, and one where the ℓ_j disagree on span ρ raises NotContinuous.
     Cell structures cut from a common arrangement always meet face to face.
-    The wall test is blind where two cells of m overlap on a cone of the
-    cycle: the refinement keeps the first cell's covector only, so a
-    disagreement there changes the weights without reaching any wall (the
-    tropical line against x ≥ 0 ↦ y, x ≤ 0 ↦ 2y gives −1 or 0 at the origin
-    by cell order).  ``PLFunction.check_continuity`` sees that case.
+    The wall test is blind where two cells of m overlap on a cone of a cycle
+    of dimension two or more: the refinement keeps the first cell's covector
+    only, so a disagreement there changes the weights without reaching any
+    wall.  ``PLFunction.check_continuity`` sees that case.
+
+    On a curve the only wall is the origin, and balancing cancels ℓ_ρ, so
+    the step reads m by its values and refines nothing
+    (:func:`_curve_corner_weight`); a disagreement at a ray raises
+    NotContinuous there (``PLFunction.value``).
     """
     if m.ambient != t_fan.ambient:
         raise ValueError(f"function on ℝ^{m.ambient}, cycle in ℝ^{t_fan.ambient}")
     if t_fan.is_zero():
         return WeightedFan(t_fan.ambient, [], dim=max(t_fan.dim - 1, -1))
-    walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient,
-                       lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u))
+    if t_fan.dim == 1:
+        walls = [(_origin(t_fan.ambient), _curve_corner_weight(m, t_fan))]
+    else:
+        walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient,
+                           lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u))
     # integral Fraction weights are stored as ints
     return WeightedFan(t_fan.ambient, [(wall, w.numerator if w.denominator == 1 else w)
                                        for wall, w in walls], dim=t_fan.dim - 1)
+
+
+def _origin(ambient: int) -> Cone:
+    """The origin of ℝ^ambient, keyed and tested like a ray's facet."""
+    return Cone(ambient, rays=[], lineality=[], ineqs=[], eqs=_standard_basis(ambient),
+                _trusted=True)
+
+
+def _curve_corner_weight(m: PLFunction, curve: WeightedFan):
+    """Origin weight of δ_m·C on a one-dimensional cycle C: Σ w·m(u).
+
+    u runs over each cone's primitive rays and ± its primitive lineality
+    vector, and Σ w·u must vanish (NotBalanced otherwise): then the
+    reference covector ℓ_ρ of the wall step drops out of Σ w·(ℓ_u − ℓ_ρ)(u).
+    """
+    total = (0,) * curve.ambient
+    for cone, w in curve.cones:
+        for u in cone.rays:
+            total = vadd(total, vscale(w, u))
+    if any(total):
+        raise NotBalanced("weighted rays of the curve do not sum to zero")
+    weight = 0
+    for cone, w in curve.cones:
+        lines = [primitive(v) for v in cone.lineality]
+        weight += w * sum(m.value(u) for u in cone.rays + lines + [vneg(v) for v in lines])
+    return weight
 
 
 def iterated_corner_locus(ms: Sequence[PLFunction], t_fan: WeightedFan) -> WeightedFan:

@@ -292,7 +292,7 @@ def test_one_region_walk_per_direction_and_none_pulled_back(monkeypatch):
     walks, pullbacks = [], []
     walk = mci_module._prefix_regions
     monkeypatch.setattr(mci_module, "_prefix_regions",
-                        lambda m: walks.append(m) or walk(m))
+                        lambda m, depth: walks.append(m) or walk(m, depth))
     pullback = elimination.pullback_linear
     monkeypatch.setattr(elimination, "pullback_linear",
                         lambda m, rows: pullbacks.append(rows) or pullback(m, rows))

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropeci.cones import Cone
-from tropeci.fans import WeightedFan, fans_equal
+from tropeci import mci as mci_module
+from tropeci.cones import Cone, full_space
+from tropeci.fans import (
+    NotBalanced,
+    WeightedFan,
+    _wall_step,
+    fans_equal,
+    stable_intersection_number,
+)
 from tropeci.linalg import dot, vsub
 from tropeci.mci import (
     MAX_TABLE_GROUND,
@@ -21,6 +28,7 @@ from tropeci.mci import (
     RankTableTooLarge,
     SupportMultiset,
     TCI,
+    ThresholdFunction,
     UnknownElement,
     _prefix_regions,
     bkk_number,
@@ -29,8 +37,8 @@ from tropeci.mci import (
     tci_from_mci,
     tci_threshold,
 )
-from tropeci.oracles import random_lattice_polytope
-from tropeci.plfunc import corner_locus
+from tropeci.oracles import polygon_curve_rays, random_lattice_polytope
+from tropeci.plfunc import PLFunction, corner_locus, pl_from_polytope, refine_with_function
 from tropeci.polytopes import LatticePolytope, mixed_volume_ie
 
 
@@ -175,6 +183,18 @@ def test_threshold_rank_deficient():
     mci = hexagon_mci()
     with pytest.raises(RankDeficient):
         tci_threshold(mci.matroid, mci.support, 3, (1, 0))
+
+
+def test_threshold_rejects_a_covector_of_the_wrong_width():
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    mci = classical_mci([cube, cube, cube])
+    with pytest.raises(ValueError, match="length"):
+        tci_threshold(mci.matroid, mci.support, 1, (1,))
+    m = tci_from_mci(mci).functions[0]
+    assert isinstance(m, ThresholdFunction)
+    for x in [(1,), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="length"):
+            m.value(x)
 
 
 def test_threshold_agrees_with_sublevel_and_subset_oracles():
@@ -396,5 +416,142 @@ def small_mcis(draw):
 @settings(max_examples=30)
 @given(small_mcis())
 def test_prefix_regions_match_regions_converted_from_scratch(mci):
-    got = [(p, cone.key()) for p, cone in _prefix_regions(mci).items()]
+    got = [(p, cone.key()) for p, cone in _prefix_regions(mci, mci.codim).items()]
     assert got == prefix_regions_from_scratch(mci)
+
+
+def classical_blocks(mci):
+    """The blocks of a ``classical_mci``, read from its ids "i:j", or None."""
+    if not all(":" in i for i in mci.support.ids()):
+        return None
+    blocks = [[] for _ in range(mci.codim)]
+    for i, p in mci.support.points:
+        blocks[int(i.split(":")[0])].append(p)
+    return blocks
+
+
+@settings(max_examples=30)
+@given(small_mcis())
+def test_bkk_number_equals_the_mixed_volume_or_the_stable_intersection(mci):
+    # classical input: Bernstein's mixed volume of the blocks; generic input:
+    # the curve T_{n-1} met stably with the whole divisor of m_n, the route
+    # that reads m_n by its cells
+    n = mci.ambient
+    tci = tci_from_mci(mci)
+    number = bkk_number(tci)
+    blocks = classical_blocks(mci)
+    if blocks is not None:
+        assert number == mixed_volume_ie([LatticePolytope(b) for b in blocks])
+    elif tci.collapsed_at is not None:
+        assert number == 0
+    else:
+        divisor = corner_locus(tci.functions[-1], WeightedFan(n, [(full_space(n), 1)]))
+        assert number == stable_intersection_number(tci.fans[-2], divisor)
+
+
+# -- the corner locus on a curve ----------------------------------------------
+
+
+def wall_step_locus(m, curve):
+    """The corner locus of m on a curve by the general step: refine the curve
+    by the cells of m, then weigh the walls of the pieces."""
+    walls = _wall_step(refine_with_function(curve, m), curve.ambient,
+                       lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u))
+    return WeightedFan(curve.ambient, walls, dim=0)
+
+
+def assert_same_point_cycle(got, want):
+    """Equal cones by key and by containment of the origin and the unit
+    vectors, with equal weights."""
+    assert got.dim == want.dim == 0
+    assert [(c.key(), w) for c, w in got.cones] == [(c.key(), w) for c, w in want.cones]
+    n = got.ambient
+    probes = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert [[c.contains(x) for x in probes] for c, _ in got.cones] == \
+        [[c.contains(x) for x in probes] for c, _ in want.cones]
+
+
+def ray_curve(pairs):
+    return WeightedFan(2, [(Cone(2, rays=[r]), w) for r, w in pairs])
+
+
+@settings(max_examples=30)
+@given(small_mcis(), st.data())
+def test_the_curve_step_equals_the_general_wall_step(mci, data):
+    n = mci.ambient
+    tci = tci_from_mci(mci)
+    point = st.tuples(*[st.integers(-1, 2)] * n)
+    poly = LatticePolytope(data.draw(st.lists(point, min_size=1, max_size=5, unique=True)))
+    functions = [pl_from_polytope(poly), *tci.functions]
+    curves = [] if tci.collapsed_at is not None else [tci.fans[-2]]
+    if n == 2:
+        rng = Random(data.draw(st.integers(0, 2 ** 16)))
+        curves.append(ray_curve(polygon_curve_rays(random_lattice_polytope(rng, 2, 4))))
+    for curve in curves:
+        assert curve.dim == 1
+        for m in functions:
+            assert_same_point_cycle(corner_locus(m, curve), wall_step_locus(m, curve))
+
+
+def test_the_curve_step_reads_a_line_twice_and_rejects_an_unbalanced_curve():
+    line = Cone(2, rays=[], lineality=[(1, 2)])
+    tropical_line = [(Cone(2, rays=[r]), 1) for r in [(1, 0), (0, 1), (-1, -1)]]
+    curve = WeightedFan(2, [(line, 2), *tropical_line])
+    poly = LatticePolytope([(0, 0), (2, 0), (0, 1), (1, 2)])
+    plane = WeightedFan(2, [(full_space(2), 1)])
+    for m in [pl_from_polytope(poly), tci_from_mci(hexagon_mci()).functions[-1]]:
+        got = corner_locus(m, curve)
+        assert_same_point_cycle(got, wall_step_locus(m, curve))
+        assert got.weight_of_point((0, 0)) == \
+            stable_intersection_number(curve, corner_locus(m, plane)) > 0
+    # a line given by a multiple of its generator counts once
+    doubled = Cone(2, rays=[], lineality=[(2, 4)], ineqs=[], eqs=[(2, -1)], _trusted=True)
+    assert doubled.key() == line.key()
+    assert_same_point_cycle(corner_locus(m, WeightedFan(2, [(doubled, 2), *tropical_line])),
+                            corner_locus(m, curve))
+    unbalanced = WeightedFan(2, [(line, 1), (Cone(2, rays=[(1, 0)]), 1)])
+    with pytest.raises(NotBalanced):
+        corner_locus(m, unbalanced)
+    with pytest.raises(NotBalanced):
+        wall_step_locus(m, unbalanced)
+
+
+def generic_z3_mci():
+    """7 points in {-1..2}³ with rank-3 columns in {-2..2}³, as ``bkk_chain`` draws."""
+    rng = Random(501)
+    while True:
+        pts = [tuple(rng.randint(-1, 2) for _ in range(3)) for _ in range(7)]
+        cols = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(7)]
+        ids = [f"a{i}" for i in range(7)]
+        matroid = Matroid.from_matrix(dict(zip(ids, cols)))
+        if len(set(pts)) == 7 and matroid.rank(ids) == 3:
+            return MCI(SupportMultiset(zip(ids, pts)), matroid, 3)
+
+
+@pytest.mark.parametrize("make", [hexagon_mci, generic_z3_mci])
+def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, make):
+    mci = make()
+    n = mci.ambient
+    parents = []
+    children = mci_module._children
+    monkeypatch.setattr(mci_module, "_children", lambda m, prefix, region:
+                        parents.append(len(prefix)) or children(m, prefix, region))
+    tci = tci_from_mci(mci)
+    number = bkk_number(tci)
+    last = tci.functions[-1]
+    assert tci.collapsed_at is None and number > 0
+    assert parents and max(parents) == n - 2 and last._cells is None
+    monkeypatch.undo()
+    # on first use the last function's cells are level n of a full walk
+    regions = _prefix_regions(mci, n)
+    seen = {}
+    for prefix in sorted(p for p in regions if len(p) == n):
+        seen.setdefault((regions[prefix].key(), mci.support.point(prefix[-1])), None)
+    assert [(c.key(), l) for c, l in last.cells] == sorted(seen, key=lambda kl: kl[0])
+    # and its greedy values are those of the containing cells
+    rng = Random(7)
+    for _ in range(40):
+        x = tuple(rng.randint(-9, 9) for _ in range(n))
+        assert last.value(x) == PLFunction(n, last.cells).value(x)
+    assert number == bkk_number(
+        TCI(tci.fans[0], [PLFunction(n, m.cells) for m in tci.functions]))

@@ -41,6 +41,28 @@ def test_support_function_values():
     assert m.check_continuity()
 
 
+def test_value_rejects_a_point_of_the_wrong_width():
+    m = pl_from_polytope(SQUARE)
+    for x in [(1, 2, 3), (1,)]:
+        with pytest.raises(ValueError, match="length"):
+            m.value(x)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["right_first", "left_first"])
+def test_cells_that_disagree_at_a_ray_of_a_curve_raise_in_either_order(reverse):
+    # y on x ≥ 0 and 2y on x ≤ 0 disagree on the ray (0, 1) of the tropical
+    # line; a step that kept one cell's covector there would weigh the
+    # origin −1 or 0 by cell order
+    line = ray_fan([((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)])
+    cells = [(Cone(2, ineqs=[(1, 0)]), (0, 1)), (Cone(2, ineqs=[(-1, 0)]), (0, 2))]
+    m = PLFunction(2, cells[::-1] if reverse else cells)
+    with pytest.raises(NotContinuous):
+        m.value((0, 1))
+    with pytest.raises(NotContinuous):
+        corner_locus(m, line)
+    assert m.value((1, 1)) == 1 and m.value((-1, -1)) == -2
+
+
 def test_corner_locus_of_triangle_support():
     d = corner_locus(pl_from_polytope(TRIANGLE), AMBIENT2)
     expected = ray_fan([((1, 1), 1), ((-1, 0), 1), ((0, -1), 1)])
