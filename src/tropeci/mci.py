@@ -11,10 +11,17 @@ function is linear, so the regions of each length give that
 piecewise-linear function (:class:`ThresholdFunction`, whose values are a
 greedy selection); the regions of full length carry all of them at once
 (``_joint_threshold_cells``).  A chain is its base fan and its functions:
-:class:`TCI` folds the fans itself.  The last fold of a full-codimension
-chain lands on a curve, where the corner locus reads the last function by
-its values, so its regions are never cut there.  The weight of the final
-zero-dimensional fan is the generalized BKK number.
+:class:`TCI` folds the fans itself.  From the full space, the first two
+folds need no corner locus.  m_1 is the support function of conv(A), so T_1
+is its edge fan, read off the facets that the regions of length one share
+(``_edge_walls``).  Greedy selection does not depend on how ties are broken,
+so on the closed region of a prefix (v,) the function m_2 is the max over
+the ids still eligible after v, and T_2 is the wall step of each cone of
+T_1 cut by the children of one such prefix (``_prefix_walls``).  The last
+fold of a full-codimension chain lands on a curve, where the corner locus
+reads the last function by its values.  So a chain walks only the levels
+that a fold by refinement still needs, and one level in ℤ³.  The weight of
+the final zero-dimensional fan is the generalized BKK number.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .cones import _cut_cone, full_space
-from .fans import WeightedFan
-from .linalg import det, dot, int_vector, rank as mat_rank, vsub
-from .plfunc import PLFunction, corner_locus
+from .fans import WeightedFan, _wall_step
+from .linalg import det, dot, int_vector, rank as mat_rank, vgcd, vsub
+from .plfunc import PLFunction, _jump, corner_locus
 
 
 class UnknownElement(KeyError):
@@ -220,9 +227,15 @@ class TCI:
     """Chain of fans T_k = δ_k⋯δ_1·T_0 folded from a base and its functions.
 
     Each fan is ``corner_locus(m_k, fans[-1])`` with its cones sorted by key
-    (NotBalanced on an unbalanced base).  The fold stops at the first zero
-    fan before the last function, sets ``collapsed_at`` and keeps the
-    functions used; ``codim`` is the number of functions given.
+    (NotBalanced on an unbalanced base).  On the full space with weight 1,
+    the threshold functions m_1 and m_2 of one MCI (:class:`ThresholdFunction`)
+    fold on greedy prefixes instead: T_1 is the edge fan of conv(A)
+    (:func:`_edge_walls`) and T_2 the walls of each edge cone cut by the
+    children of one of its vertex prefixes (:func:`_prefix_walls`).  Both
+    give the corner loci, cone for cone and weight for weight.  The fold
+    stops at the first zero fan before the last function, sets
+    ``collapsed_at`` and keeps the functions used; ``codim`` is the number
+    of functions given.
 
     ``mci`` is the MCI the chain was built from, set by :func:`tci_from_mci`
     and None on a chain built by hand.  The shadow route of ``elimination``
@@ -238,8 +251,15 @@ class TCI:
         self.fans = [base]
         self.collapsed_at = None
         self.mci = None
+        lead = _threshold_lead(base, functions)
         for k, m in enumerate(functions, 1):
-            nxt = corner_locus(m, self.fans[-1])
+            if k == 1 and lead:
+                walls = _edge_walls(m.mci, m._level(1))
+                nxt = WeightedFan(base.ambient, [(c, w) for c, w, _ in walls], dim=base.dim - 1)
+            elif k == 2 and lead == 2:
+                nxt = WeightedFan(base.ambient, _prefix_walls(m.mci, walls), dim=base.dim - 2)
+            else:
+                nxt = corner_locus(m, self.fans[-1])
             self.fans.append(WeightedFan(base.ambient, sorted(
                 nxt.cones, key=lambda cw: cw[0].key()), dim=nxt.dim))
             if nxt.is_zero() and k < self.codim:
@@ -280,8 +300,10 @@ def tci_threshold(matroid: Matroid, support: SupportMultiset, k: int, l):
 
     Equals the k-th value selected by the matroid greedy walk, and the
     largest m such that {a : l(a) ≥ m} has rank at least k.  l must be a
-    covector of the support's lattice (ValueError otherwise).
+    covector of the support's lattice and k at least 1 (ValueError otherwise).
     """
+    if k < 1:
+        raise ValueError(f"threshold index {k} < 1")
     if len(l) != support.ambient:
         raise ValueError(f"covector of length {len(l)}, support in ℤ^{support.ambient}")
     if matroid.rank(support.ids()) < k:
@@ -291,16 +313,17 @@ def tci_threshold(matroid: Matroid, support: SupportMultiset, k: int, l):
 
 
 def _children(mci: MCI, prefix: tuple, region) -> Iterator:
-    """(prefix + (a,), region) for each a whose selection region is full dimensional.
+    """(prefix + (a,), piece) for each a whose piece keeps the region's dimension.
 
-    The region of prefix + (a,) is the prefix's region cut by p_a − p_b ≥ 0
+    The piece of prefix + (a,) is the prefix's region cut by p_a − p_b ≥ 0
     for the other eligible b; the cut goes through the parent's extreme rays
-    and stops as soon as one halfspace leaves no ray on its positive side.
+    and stops as soon as the piece drops below the region's dimension.  In
+    the walk the regions are full dimensional; :func:`_prefix_walls` cuts a
+    cone of T_1 the same way.
     Eligible ids that share a point have identical regions, so each prefix
     cuts once per distinct point; each id still gets its own child prefix,
     because what is eligible after it depends on the id.
     """
-    n = mci.ambient
     chosen = list(prefix)
     r = len(prefix)
     eligible = [a for a in sorted(mci.support.ids())
@@ -310,7 +333,7 @@ def _children(mci: MCI, prefix: tuple, region) -> Iterator:
         p = mci.support.point(a)
         if p not in cuts:
             diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
-            cuts[p] = _cut_cone(region, diffs, [], n)
+            cuts[p] = _cut_cone(region, diffs, [], region.dim)
         if cuts[p] is not None:
             yield prefix + (a,), cuts[p]
 
@@ -338,33 +361,42 @@ def _prefix_regions(mci: MCI, depth: int) -> dict:
 
 
 class ThresholdFunction(PLFunction):
-    """The k-th threshold function m_k of an MCI, read by its values.
+    """The k-th threshold function m_k of an MCI (k ≥ 1), read by its values.
 
     ``value(x)`` is :func:`tci_threshold`, a greedy selection that scans no
     cell.  The cells are the selection regions of the length-k prefixes,
     each with the covector of its k-th point; ``regions`` is a region walk
-    (:func:`_prefix_regions`) of depth k − 1 or more, and when it stopped at
-    k − 1 the cells are tiled on first use by cutting one more level
-    (:func:`_children`), so nothing is walked again from the root.
+    (:func:`_prefix_regions`) of any depth.  When the walk stopped short of
+    k, the cells are tiled on first use by cutting on level by level from
+    its deepest level (:func:`_children`), so nothing is walked again from
+    the root.  :class:`TCI` folds m_1 and m_2 on the regions of length one,
+    and never asks for their cells.
     """
 
     __slots__ = ("mci", "k", "_regions", "_cells")
 
     def __init__(self, mci: MCI, k: int, regions: dict):
+        if k < 1:
+            raise ValueError(f"threshold index {k} < 1")
         self.ambient = mci.ambient
         self.mci, self.k, self._regions, self._cells = mci, k, regions, None
 
     def value(self, x):
         return tci_threshold(self.mci.matroid, self.mci.support, self.k, x)
 
+    def _level(self, k: int) -> dict:
+        """The regions of the length-k prefixes, cut on from the walk's deepest level."""
+        depth = min(k, max(map(len, self._regions)))
+        level = {p: r for p, r in self._regions.items() if len(p) == depth}
+        for _ in range(depth, k):
+            level = dict(child for p, r in level.items()
+                         for child in _children(self.mci, p, r))
+        return level
+
     @property
     def cells(self) -> list:
         if self._cells is None:
-            level = {p: r for p, r in self._regions.items() if len(p) == self.k}
-            if not level:
-                level = dict(child for p, r in self._regions.items()
-                             if len(p) == self.k - 1
-                             for child in _children(self.mci, p, r))
+            level = self._level(self.k)
             seen = {}
             for prefix in sorted(level):
                 region = level[prefix]
@@ -384,17 +416,83 @@ def tci_from_mci(mci: MCI) -> TCI:
     region of a length-k prefix the k-th selected point is constant, so the
     threshold is linear there, and the regions of one length tile covector
     space.  The cell count stays proportional to the number of distinct
-    selections.  One region walk serves all functions.  It stops at depth
-    codim − 1 on a full-codimension MCI: the last function is folded onto
-    the curve T_{n−1}, where ``corner_locus`` reads it by its values, so the
-    regions of length n are cut only if its cells are asked for.
+    selections.  One region walk serves all functions, and it walks only
+    the levels that a fold by refinement still reads.  :class:`TCI` folds
+    m_1 and m_2 on the regions of length one; on a full-codimension MCI the
+    last function is folded onto the curve T_{n−1}, where ``corner_locus``
+    reads it by its values.  So the walk goes to depth n − 1 on a
+    full-codimension MCI, else to depth codim, and to depth 1 when that is
+    at most 2: a BKK chain in ℤ³ walks one level.  Deeper cells are cut
+    only if they are asked for.
     """
     n = mci.ambient
-    regions = _prefix_regions(mci, mci.codim - 1 if mci.codim == n else mci.codim)
+    depth = n - 1 if mci.codim == n else mci.codim
+    regions = _prefix_regions(mci, depth if depth > 2 else 1)
     tci = TCI(WeightedFan(n, [(full_space(n), 1)]),
               [ThresholdFunction(mci, k, regions) for k in range(1, mci.codim + 1)])
     tci.mci = mci
     return tci
+
+
+def _threshold_lead(base: WeightedFan, functions: Sequence) -> int:
+    """How many of m_1, m_2 fold on greedy prefixes: 0, 1 or 2.
+
+    They do when the base is the full space with weight 1 and they are the
+    threshold functions m_1 and m_2 of one MCI, in that order.
+    """
+    if len(base.cones) != 1 or base.cones[0][1] != 1 or \
+            len(base.cones[0][0].lineality) != base.ambient:
+        return 0
+    lead = 0
+    for k, m in enumerate(functions[:2], 1):
+        if not isinstance(m, ThresholdFunction) or m.k != k or m.mci is not functions[0].mci:
+            break
+        lead = k
+    return lead
+
+
+def _edge_walls(mci: MCI, regions: dict) -> list:
+    """T_1 = δ_{m_1}·ℝⁿ as (wall, weight, prefix) triples: the edge fan of conv(A).
+
+    m_1 is the support function of conv(A), and the regions of length one
+    are the normal cones of its vertices.  Two of them share a facet exactly
+    when their vertices v, w span an edge; the facet is the normal cone of
+    that edge, and its weight is the lattice length gcd(v − w)
+    (Maclagan–Sturmfels, *Introduction to Tropical Geometry*, §3.1).
+    ``regions`` are the regions of length one; ids that share a point share
+    a region, which is read once.  Each wall keeps the prefix (v,) of one of
+    its sides, for :func:`_prefix_walls`.
+    """
+    walls, points = {}, set()
+    for prefix in sorted(regions):
+        v = mci.support.point(prefix[0])
+        if v in points:
+            continue
+        points.add(v)
+        for facet, _ in regions[prefix]._facets():
+            walls.setdefault(facet.key(), []).append((facet, prefix, v))
+    return [(facet, vgcd(vsub(v, w)), prefix)
+            for (facet, prefix, v), (_, _, w) in walls.values()]
+
+
+def _prefix_walls(mci: MCI, walls: Sequence) -> list:
+    """T_2 = δ_{m_2}·T_1 as (wall, weight) pairs, from the walls of :func:`_edge_walls`.
+
+    Greedy selection does not depend on how ties are broken (Oxley, *Matroid
+    Theory*, §1.8), so on the closed region of the prefix (v,) that a cone σ
+    of T_1 keeps, m_2 is the max of p_b over the ids b eligible after v.
+    Its pieces on σ are the children of (v,) cut from σ, each with the point
+    of its last id as covector; pieces with one key are one piece.  They are
+    the domains of linearity of m_2 on σ, so neighbouring cones of T_1 cut
+    their common faces alike, and one wall step weighs their walls.
+    """
+    pieces, seen = [], set()
+    for sigma, w, prefix in walls:
+        for child, piece in _children(mci, prefix, sigma):
+            if piece.key() not in seen:
+                seen.add(piece.key())
+                pieces.append((piece, w, mci.support.point(child[-1])))
+    return _wall_step(pieces, mci.ambient, _jump)
 
 
 def _joint_threshold_cells(mci: MCI) -> list:

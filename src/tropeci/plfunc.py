@@ -175,11 +175,15 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan) -> WeightedFan:
     if t_fan.dim == 1:
         walls = [(_origin(t_fan.ambient), _curve_corner_weight(m, t_fan))]
     else:
-        walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient,
-                           lambda piece, first, u: piece[1] * dot(vsub(piece[2], first[2]), u))
+        walls = _wall_step(refine_with_function(t_fan, m), t_fan.ambient, _jump)
     # integral Fraction weights are stored as ints
     return WeightedFan(t_fan.ambient, [(wall, w.numerator if w.denominator == 1 else w)
                                        for wall, w in walls], dim=t_fan.dim - 1)
+
+
+def _jump(piece, first, u):
+    """The wall-step term w·(ℓ − ℓ₀)(u) of a (cone, weight, covector ℓ) piece."""
+    return piece[1] * dot(vsub(piece[2], first[2]), u)
 
 
 def _origin(ambient: int) -> Cone:

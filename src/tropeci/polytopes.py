@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cones import Cone, _pull_triangulate, full_space
 from .linalg import (
@@ -160,18 +160,32 @@ class LatticePolytope:
     # -- lattice invariants ----------------------------------------------------
 
     def lattice_points(self) -> list:
-        """Lattice points of P in lexicographic order, line by line.
+        """Lattice points of P in lexicographic order, line by line (:meth:`_lines`)."""
+        if self.ambient == 0:
+            return [()]
+        return [p + (x,) for p, lo, hi in self._lines() for x in range(lo, hi + 1)]
 
-        The first n − 1 coordinates run over P's bounding box; each such
+    def n_lattice_points(self) -> int:
+        """The number of lattice points of P, summed line by line with no list.
+
+        It raises ``TooManyLatticePoints`` wherever :meth:`lattice_points` does.
+        """
+        if self.ambient == 0:
+            return 1
+        return sum(hi - lo + 1 for _, lo, hi in self._lines())
+
+    def _lines(self) -> Iterator:
+        """(p, lo, hi) per line of P in ℤ^n (n ≥ 1) that holds a lattice point.
+
+        The first n − 1 coordinates p run over P's bounding box; each such
         prefix is tested against the constraints free of x_n, and the other
-        constraints bound x_n by exact floor divisions.  Raises
-        ``TooManyLatticePoints``, before enumerating, when the box has more
-        than ``MAX_LATTICE_LINES`` prefixes, and before listing a line that
-        would take the output past ``MAX_LATTICE_POINTS`` points.
+        constraints bound x_n to lo ≤ x_n ≤ hi by exact floor divisions.
+        Lines come in lexicographic order.  Raises ``TooManyLatticePoints``,
+        before scanning, when the box has more than ``MAX_LATTICE_LINES``
+        prefixes, and before yielding a line that would take the count of
+        points past ``MAX_LATTICE_POINTS``.
         """
         n = self.ambient
-        if n == 0:
-            return [()]
         boxes = [range(min(v[i] for v in self.vertices), max(v[i] for v in self.vertices) + 1)
                  for i in range(n)]
         lines = prod(len(r) for r in boxes[:-1])
@@ -184,7 +198,7 @@ class LatticePolytope:
             [(a, b, 1) for a, b in self.facets()]
         flat = [(r[:-1], c, ineq) for r, c, ineq in rows if r[-1] == 0]
         steep = [(r[:-1], c, r[-1], ineq) for r, c, ineq in rows if r[-1] != 0]
-        out = []
+        count = 0
         for p in product(*boxes[:-1]):
             if not all(dot(a, p) + b >= 0 if ineq else dot(a, p) + b == 0
                        for a, b, ineq in flat):
@@ -201,14 +215,13 @@ class LatticePolytope:
                     lo = max(lo, -(s // an))
                 else:
                     hi = min(hi, s // -an)
-            if len(out) + hi - lo + 1 > MAX_LATTICE_POINTS:
+            if hi < lo:
+                continue
+            count += hi - lo + 1
+            if count > MAX_LATTICE_POINTS:
                 raise TooManyLatticePoints(
                     f"TooManyLatticePoints: more than {MAX_LATTICE_POINTS} lattice points")
-            out += [p + (x,) for x in range(lo, hi + 1)]
-        return out
-
-    def n_lattice_points(self) -> int:
-        return len(self.lattice_points())
+            yield p, lo, hi
 
     def normalized_volume(self) -> int:
         """n!·vol(P) in the ambient lattice; 0 when dim P < n."""

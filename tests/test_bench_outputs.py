@@ -1,0 +1,38 @@
+"""The benchmark's operation outputs on seed 501, pinned by digest.
+
+``bench/workloads.py`` is loaded from its file and only read: each
+workload's operations run on its seed-501 inputs, and the SHA-256 of their
+outputs' reprs, one per line, must be the digest recorded here.  A change
+that speeds a workload up must leave every output as it was; a change that
+means to alter an output records the new digest with the reason.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DIGESTS = {
+    "bkk_chain": "aba17b661477d0df70c38141af7f3ba5be715106112da34a3a35d3005aded02a",
+    "eliminant_verified": "73dd0ae6fcade7c8e140d3e1218f2d2427af3d6f6c355f7b10ab72eef30989b2",
+    "euler_genera": "5ad722181f604ab71cc6ea359bc332e796ac381e74884611f025746a74c82f5c",
+}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_every_output_of_seed_501_hashes_as_pinned(workload):
+    w = _workloads()
+    op = w.OPERATIONS[workload]
+    text = "\n".join(repr(op(i)[0]) for i in w.make_inputs(workload, 501))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[workload]

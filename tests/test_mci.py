@@ -197,6 +197,15 @@ def test_threshold_rejects_a_covector_of_the_wrong_width():
             m.value(x)
 
 
+def test_a_threshold_index_below_one_is_refused():
+    mci = classical_mci([[(0, 0), (1, 0)], [(0, 0), (0, 1)]])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="< 1"):
+            tci_threshold(mci.matroid, mci.support, k, (1, 2))
+        with pytest.raises(ValueError, match="< 1"):
+            ThresholdFunction(mci, k, _prefix_regions(mci, 1))
+
+
 def test_threshold_agrees_with_sublevel_and_subset_oracles():
     rng = Random(404)
     for _ in range(12):
@@ -528,6 +537,93 @@ def generic_z3_mci():
             return MCI(SupportMultiset(zip(ids, pts)), matroid, 3)
 
 
+def generic_z4_mci():
+    """6 points in {-1..1}⁴ with rank-3 columns in {-2..2}³, codimension 2."""
+    rng = Random(502)
+    while True:
+        pts = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(6)]
+        cols = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(6)]
+        ids = [f"a{i}" for i in range(6)]
+        matroid = Matroid.from_matrix(dict(zip(ids, cols)))
+        if len(set(pts)) == 6 and matroid.rank(ids) == 3:
+            return MCI(SupportMultiset(zip(ids, pts)), matroid, 2)
+
+
+def level_cells(mci, k):
+    """(key, covector) of the distinct cells on level k of a walk from the
+    root, sorted by key, as ``ThresholdFunction.cells`` lists them."""
+    regions = _prefix_regions(mci, k)
+    seen = {}
+    for prefix in sorted(p for p in regions if len(p) == k):
+        seen.setdefault((regions[prefix].key(), mci.support.point(prefix[-1])), None)
+    return sorted(seen, key=lambda kl: kl[0])
+
+
+@pytest.mark.parametrize("make", [generic_z3_mci, generic_z4_mci])
+def test_cells_are_tiled_level_by_level_from_a_walk_of_depth_one(make):
+    mci = make()
+    regions = tci_from_mci(mci).functions[0]._regions
+    assert max(map(len, regions)) == 1
+    for k in (2, 3):
+        m = ThresholdFunction(mci, k, regions)
+        assert [(c.key(), l) for c, l in m.cells] == level_cells(mci, k)
+
+
+@st.composite
+def two_fold_mcis(draw):
+    """A codimension-2 MCI in ℤ²–ℤ⁴: classical (two blocks) or generic, with
+    loops, repeated points under different columns, and supports on the
+    hyperplane x_n = x_1."""
+    n = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(-1, 1 if n == 4 else 2)] * n)
+    flat = draw(st.integers(0, 3)) == 0
+
+    def place(p):
+        return p[:-1] + (p[0],) if flat else p
+
+    if draw(st.booleans()):
+        blocks = [[place(p) for p in draw(st.lists(point, min_size=2, max_size=4))]
+                  for _ in range(2)]
+        mci = classical_mci(blocks)
+        assume(mci.matroid.rank(mci.support.ids()) == 2)
+        return mci
+    pts = [place(p) for p in draw(st.lists(point, min_size=3, max_size=6))]
+    if draw(st.booleans()):
+        pts.append(pts[0])  # a repeated point; its column is drawn afresh
+    height = draw(st.integers(2, 3))
+    cols = [draw(st.tuples(*[st.integers(-2, 2)] * height)) for _ in pts]
+    if draw(st.booleans()):
+        cols[-1] = (0,) * height  # a loop
+    ids = [f"a{i}" for i in range(len(pts))]
+    matroid = Matroid.from_matrix(dict(zip(ids, cols)))
+    assume(matroid.rank(ids) >= 2)
+    return MCI(SupportMultiset(zip(ids, pts)), matroid, 2)
+
+
+def keyed(fan):
+    return sorted(((c.key(), w) for c, w in fan.cones), key=lambda kw: kw[0])
+
+
+@settings(max_examples=40)
+@given(two_fold_mcis())
+def test_the_edge_fold_is_the_corner_locus_of_m1_on_the_full_space(mci):
+    n = mci.ambient
+    tci = tci_from_mci(mci)
+    want = corner_locus(tci.functions[0], WeightedFan(n, [(full_space(n), 1)]))
+    assert tci.fans[1].dim == want.dim == n - 1
+    assert keyed(tci.fans[1]) == keyed(want)
+
+
+@settings(max_examples=40)
+@given(two_fold_mcis())
+def test_the_prefix_fold_is_the_corner_locus_of_m2_on_the_edge_fan(mci):
+    tci = tci_from_mci(mci)
+    assume(tci.collapsed_at is None)
+    want = corner_locus(tci.functions[1], tci.fans[1])
+    assert tci.fans[2].dim == want.dim == mci.ambient - 2
+    assert keyed(tci.fans[2]) == keyed(want)
+
+
 @pytest.mark.parametrize("make", [hexagon_mci, generic_z3_mci])
 def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, make):
     mci = make()
@@ -535,19 +631,19 @@ def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, mak
     parents = []
     children = mci_module._children
     monkeypatch.setattr(mci_module, "_children", lambda m, prefix, region:
-                        parents.append(len(prefix)) or children(m, prefix, region))
+                        parents.append((len(prefix), region.dim)) or
+                        children(m, prefix, region))
     tci = tci_from_mci(mci)
     number = bkk_number(tci)
     last = tci.functions[-1]
     assert tci.collapsed_at is None and number > 0
-    assert parents and max(parents) == n - 2 and last._cells is None
+    # the walk cuts the regions of length one from the full space, and the
+    # second fold cuts the children of one vertex prefix from each edge cone;
+    # no prefix of length two is cut from a region of the full space
+    assert set(parents) == {(0, n), (1, n - 1)} and last._cells is None
     monkeypatch.undo()
     # on first use the last function's cells are level n of a full walk
-    regions = _prefix_regions(mci, n)
-    seen = {}
-    for prefix in sorted(p for p in regions if len(p) == n):
-        seen.setdefault((regions[prefix].key(), mci.support.point(prefix[-1])), None)
-    assert [(c.key(), l) for c, l in last.cells] == sorted(seen, key=lambda kl: kl[0])
+    assert [(c.key(), l) for c, l in last.cells] == level_cells(mci, n)
     # and its greedy values are those of the containing cells
     rng = Random(7)
     for _ in range(40):

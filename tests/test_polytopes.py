@@ -231,6 +231,7 @@ def test_polytope_reads_its_one_cone_like_fresh_conversions(points):
 
     cube = list(product(range(4), repeat=len(verts[0])))
     assert p.lattice_points() == [x for x in cube if inside(x)]
+    assert p.n_lattice_points() == len(p.lattice_points())
     probes = product(range(-1, 5), repeat=len(verts[0]))
     assert all(p.contains(x) == inside(x) for x in probes)
 
@@ -317,22 +318,26 @@ def test_volumes_equal_the_facet_coning_reference(points):
 
 
 def test_lattice_points_refuse_too_many_lines_or_points(monkeypatch):
-    # two lattice points, but 10^8 lines of the box to scan
-    with pytest.raises(TooManyLatticePoints, match="lines"):
-        LatticePolytope([(0, 0, 0), (10 ** 4, 10 ** 4, 1)]).lattice_points()
-    # one line, but 10^9 + 1 points on it
-    with pytest.raises(TooManyLatticePoints, match="points"):
-        LatticePolytope([(0, 0), (0, 10 ** 9)]).lattice_points()
-    box = LatticePolytope([(0, 0), (3, 0), (0, 9), (3, 9)])  # 4 lines of 10 points
-    monkeypatch.setattr(polytopes, "MAX_LATTICE_LINES", 4)
-    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 40)
-    assert len(box.lattice_points()) == 40
-    with pytest.raises(TooManyLatticePoints):
-        LatticePolytope([(0, 0), (4, 0), (0, 1)]).lattice_points()
-    monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 39)
-    with pytest.raises(TooManyLatticePoints):
-        box.lattice_points()
+    # the count lists no point, yet it refuses wherever the list does
+    for count in (lambda p: len(p.lattice_points()), LatticePolytope.n_lattice_points):
+        # two lattice points, but 10^8 lines of the box to scan
+        with pytest.raises(TooManyLatticePoints, match="lines"):
+            count(LatticePolytope([(0, 0, 0), (10 ** 4, 10 ** 4, 1)]))
+        # one line, but 10^9 + 1 points on it
+        with pytest.raises(TooManyLatticePoints, match="points"):
+            count(LatticePolytope([(0, 0), (0, 10 ** 9)]))
+        box = LatticePolytope([(0, 0), (3, 0), (0, 9), (3, 9)])  # 4 lines of 10 points
+        monkeypatch.setattr(polytopes, "MAX_LATTICE_LINES", 4)
+        monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 40)
+        assert count(box) == 40
+        with pytest.raises(TooManyLatticePoints, match="lines"):
+            count(LatticePolytope([(0, 0), (4, 0), (0, 1)]))
+        monkeypatch.setattr(polytopes, "MAX_LATTICE_POINTS", 39)
+        with pytest.raises(TooManyLatticePoints, match="points"):
+            count(box)
+        monkeypatch.undo()
 
 
 def test_lattice_points_of_the_zero_dimensional_lattice():
     assert LatticePolytope([()]).lattice_points() == [()]
+    assert LatticePolytope([()]).n_lattice_points() == 1
