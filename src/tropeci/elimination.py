@@ -9,12 +9,13 @@ independent ways:
 * **projection**: push the last intersection cycle forward along the
   coordinate projection and reconstruct the dual polytope from the image
   divisor;
-* **shadow**: for one kept direction ``v`` at a time, restrict the defining
-  functions to the subspace spanned by the eliminated coordinates and ``v``
-  and read off a single support value as a mixed corner-locus number.  The
-  restricted functions are the threshold functions of the image MCI, whose
-  points are (p_elim, v·p_kept); one region walk of that MCI gives all of
-  them on one joint cell list.
+* **shadow**: for one kept direction ``v`` at a time, read off a single
+  support value as a BKK number.  The restricted system lives on the
+  eliminated coordinates and the ray through ``v``; adding a parallel copy
+  of each point far below it, at height −C, makes it a full-codimension MCI
+  whose BKK number is affine in C with the support value as its constant
+  term (``_support_values``).  So each value is one threshold chain in
+  ℤⁿ⁺¹, less C times one slope chain shared by all directions.
 
 The projection route is the system of record; the shadow route recomputes
 individual support values and is used to cross-check the result vector by
@@ -31,8 +32,8 @@ from typing import Sequence
 
 from .cones import Cone, common_refinement, full_space
 from .fans import WeightedFan, pushforward
-from .linalg import dot, int_vector, solve
-from .mci import MCI, TCI, SupportMultiset, _joint_threshold_cells, tci_from_mci
+from .linalg import dot, int_vector, solve, vneg
+from .mci import MCI, TCI, Matroid, SupportMultiset, bkk_number, tci_from_mci
 from .plfunc import (PLFunction, pl_from_polytope, pullback_linear,
                      reconstruct_polytope)
 from .polytopes import LatticePolytope
@@ -98,10 +99,6 @@ class EliminantResult:
                 f"route={self.route!r})")
 
 
-def _unit_fan(dim: int) -> WeightedFan:
-    return WeightedFan(dim, [(full_space(dim), 1)])
-
-
 def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
     """Gated product difference ∏ mᵢ(x, t) − ∏ mᵢ(x, 0) on t ≥ 0, zero on t ≤ 0.
 
@@ -120,41 +117,16 @@ def shadow_function(ms: Sequence[PLFunction]) -> PPFunction:
     # mᵢ(x, 0) as a function of (x, t): compose with (x, t) ↦ (x, 0).
     flat = [tuple(int(i == j) for j in range(amb)) for i in range(amb - 1)] \
         + [(0,) * amb]
-    return _shadow(amb, [_one_factor(m) for m in ms],
-                   [_one_factor(pullback_linear(m, flat)) for m in ms])
-
-
-def _one_factor(m: PLFunction) -> list:
-    return [(cone, (l,)) for cone, l in m.cells]
-
-
-def _shadow(amb: int, factors: Sequence[list], zeros: Sequence[list]) -> PPFunction:
-    """``shadow_function`` from cell lists whose cells carry covector tuples.
-
-    The cell lists of ``factors`` carry the covectors of the mᵢ(x, t), those
-    of ``zeros`` the covectors of the mᵢ(x, 0), each list one or more of
-    the factors; the upper half-space is cut by all of them, the lower one
-    by ``factors`` alone.
-    """
+    zeros = [pullback_linear(m, flat) for m in ms]
     e_t = (0,) * (amb - 1) + (1,)
-    cells = []
     upper = [(Cone(amb, ineqs=[e_t]), None)]
-    k = len(factors)
-    for cone, _, ls in common_refinement(upper, [*factors, *zeros], amb):
-        cells.append((cone, Poly.linear_product(amb, [l for t in ls[:k] for l in t])
-                      - Poly.linear_product(amb, [l for t in ls[k:] for l in t])))
-    neg = tuple(-x for x in e_t)
-    lower = [(Cone(amb, ineqs=[neg]), None)]
-    for cone, _, _ in common_refinement(lower, factors, amb):
-        cells.append((cone, Poly(amb, {})))
+    cells = [(cone, Poly.linear_product(amb, ls[:amb]) - Poly.linear_product(amb, ls[amb:]))
+             for cone, _, ls in common_refinement(
+                 upper, [m.cells for m in [*ms, *zeros]], amb)]
+    lower = [(Cone(amb, ineqs=[vneg(e_t)]), None)]
+    cells += [(cone, Poly(amb, {}))
+              for cone, _, _ in common_refinement(lower, [m.cells for m in ms], amb)]
     return PPFunction(amb, amb, cells)
-
-
-def _shadow_number(shadow: PPFunction):
-    try:
-        return pp_iterated_number(shadow, _unit_fan(shadow.ambient))
-    except NotContinuous as e:  # pragma: no cover - guarded by construction
-        raise InternalError(f"shadow assembly is discontinuous: {e}") from e
 
 
 def mixed_shadow_volume(ms: Sequence[PLFunction]):
@@ -165,7 +137,12 @@ def mixed_shadow_volume(ms: Sequence[PLFunction]):
     of an eliminant polytope.  Returns an exact rational (an int when the
     value is integral).
     """
-    return _shadow_number(shadow_function(ms))
+    shadow = shadow_function(ms)
+    amb = shadow.ambient
+    try:
+        return pp_iterated_number(shadow, WeightedFan(amb, [(full_space(amb), 1)]))
+    except NotContinuous as e:  # pragma: no cover - guarded by construction
+        raise InternalError(f"shadow assembly is discontinuous: {e}") from e
 
 
 def eliminant_support_value(tci: TCI, v: Sequence[int]):
@@ -173,13 +150,13 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
 
     The ambient space of ``tci`` must split as eliminated ⊕ kept coordinates
     with the kept block last and of length ``len(v)``; the intersection must
-    have codimension (number of eliminated coordinates) + 1.  The defining
-    functions are restricted to the subspace spanned by the eliminated
-    coordinates and the ray through ``v`` — a saturated sublattice, since
-    ``v`` is primitive — and the restricted system's mixed corner-locus
-    number is the requested value.  The restrictions are read from the
-    chain's MCI (see ``_support_values``), so a chain built by hand, which
-    has none, raises MissingMCI.
+    have codimension (number of eliminated coordinates) + 1.  The value is
+    the mixed corner-locus number of the defining functions restricted to
+    the subspace spanned by the eliminated coordinates and the ray through
+    ``v`` (a saturated sublattice, since ``v`` is primitive), read off the
+    BKK numbers of two MCIs shifted from the chain's MCI (see
+    ``_support_values``).  So a chain built by hand, which has none, raises
+    MissingMCI.
     """
     v = int_vector(v)
     if not v or gcd(*v) != 1:
@@ -198,32 +175,50 @@ def eliminant_support_value(tci: TCI, v: Sequence[int]):
     return next(_support_values(tci.mci, [v], n))
 
 
-def _image_mci(mci: MCI, n: int, v: Sequence[int]) -> MCI:
-    """The MCI of the points (p_elim, v·p_kept) ∈ ℤⁿ⁺¹, same matroid and codim.
-
-    ``tci_threshold`` reads l·p and (x, t·v)·p = (x, t)·(p_elim, v·p_kept),
-    so its k-th threshold function is the k-th one of ``mci`` pulled back
-    along (x, t) ↦ (x, t·v).  The loops that ``MCI`` dropped from the
-    support are still in the matroid's ground; they get the origin as a
-    point and are dropped again.
-    """
-    points = [(i, p[:n] + (dot(v, p[n:]),)) for i, p in mci.support.points]
-    points += [(i, (0,) * (n + 1)) for i in mci.loops]
-    return MCI(SupportMultiset(points), mci.matroid, mci.codim)
-
-
 def _support_values(mci: MCI, vs: Sequence[tuple], n: int):
     """``eliminant_support_value`` at checked directions with n eliminated
-    coordinates.
+    coordinates, each read off a BKK number.
 
-    For each direction v one region walk of the image MCI at v gives the
-    restricted factors mᵢ(x, t) on one joint cell list; the factors
-    mᵢ(x, 0) are the image MCI at v = 0, walked once for all directions.
+    For a direction v let C = 1 + max |v·p_kept| over the points.  The
+    shifted MCI in ℤⁿ⁺¹ (:func:`_shifted_mci`) puts each point at
+    (p_elim, v·p_kept) and a parallel copy of it at (p_elim, −C).  For a
+    classical system its blocks are Q_i = conv(P_i^v ∪ (πP_i − C·e_t)), and
+    the choice of C splits their support functions at t = 0: on t ≥ 0 the
+    copies lie below every point, so h_{Q_i}(x, t) = mᵢ(x, t), and on t ≤ 0
+    above, so h_{Q_i}(x, t) = mᵢ(x, 0) − C·t.  The product of the h_{Q_i} is
+    therefore the gated product difference ∏ mᵢ(x, t) − ∏ mᵢ(x, 0) on t ≥ 0
+    (``shadow_function``) plus the product of the support functions of the
+    prisms πP_i × [−C, 0].  The mixed volume of those prisms is C times that
+    of the prisms of height 1, the shifted MCI at v = 0 and C = 1, which
+    does not depend on v and is counted once.  So MV(Q_0, …, Q_n) is affine
+    in C, and its constant term, the mixed volume of the upper shadows, is
+    the support value (Esterov–Khovanskii 2008, *Elimination theory and
+    Newton polytopes*; McMullen 2004, *Mixed fibre polytopes*).  On a
+    generic matroid the copies split the threshold functions the same way,
+    since a copy is parallel to its point and lies on the other side of it;
+    that the BKK number then gives the shadow's number is checked by
+    property against the shadow of the pulled-back functions, not derived.
     """
-    zeros = _joint_threshold_cells(_image_mci(mci, n, (0,) * (mci.ambient - n)))
+    zero = (0,) * (mci.ambient - n)
+    matroid = Matroid([(i, s) for i in mci.support.ids() for s in (0, 1)], "derived",
+                      fn=lambda ids: mci.matroid.rank({i for i, _ in ids}))
+    slope = bkk_number(tci_from_mci(_shifted_mci(mci, matroid, n, zero, 1)))
     for v in vs:
-        factors = _joint_threshold_cells(_image_mci(mci, n, v))
-        yield _shadow_number(_shadow(n + 1, [factors], [zeros]))
+        c = 1 + max(abs(dot(v, p[n:])) for _, p in mci.support.points)
+        yield bkk_number(tci_from_mci(_shifted_mci(mci, matroid, n, v, c))) - c * slope
+
+
+def _shifted_mci(mci: MCI, matroid: Matroid, n: int, v: Sequence[int], c: int) -> MCI:
+    """The MCI in ℤⁿ⁺¹ of the points (p_elim, v·p_kept) and copies (p_elim, −c).
+
+    Point i of ``mci`` gets the id (i, 0) and its copy the id (i, 1).
+    ``matroid`` is the rank of ``mci`` with each id mapped back to its
+    original, shared by every direction so that all share one rank cache.
+    The loops, which no greedy selection picks, are left out.
+    """
+    points = [((i, 0), p[:n] + (dot(v, p[n:]),)) for i, p in mci.support.points]
+    points += [((i, 1), p[:n] + (-c,)) for i, p in mci.support.points]
+    return MCI(SupportMultiset(points), matroid, mci.codim)
 
 
 def tropical_eliminant(t_last: WeightedFan,

@@ -299,16 +299,17 @@ def tropical_csm(tci: TCI) -> CharClassList:
         return CharClassList(
             [(d, WeightedFan(n, [], dim=n - d)) for d in range(k, n + 1)])
     buckets = {d: [] for d in range(k, n + 1)}
-
-    def fold(fan, degree, first):
+    # a stack, not a recursive closure, which would hold the chain in a
+    # reference cycle; each fan's folds are pushed in reverse, so the
+    # buckets fill in depth-first order
+    stack = [(tci.fans[-1], k, 0)]
+    while stack:
+        fan, degree, first = stack.pop()
         buckets[degree].append(((-1) ** (degree - k), fan))
         if degree < n:
-            for i in range(first, k):
-                nxt = corner_locus(tci.functions[i], fan)
-                if not nxt.is_zero():
-                    fold(nxt, degree + 1, i)
-
-    fold(tci.fans[-1], k, 0)
+            folds = [(corner_locus(tci.functions[i], fan), degree + 1, i)
+                     for i in range(first, k)]
+            stack.extend(f for f in reversed(folds) if not f[0].is_zero())
     classes = []
     for d, entries in buckets.items():
         if len(entries) == 1:

@@ -9,8 +9,7 @@ parent's extreme rays, so no region is converted from scratch
 (``_children``).  On the region of a length-k prefix the k-th threshold
 function is linear, so the regions of each length give that
 piecewise-linear function (:class:`ThresholdFunction`, whose values are a
-greedy selection); the regions of full length carry all of them at once
-(``_joint_threshold_cells``).  A chain is its base fan and its functions:
+greedy selection).  A chain is its base fan and its functions:
 :class:`TCI` folds the fans itself.  From the full space, the first two
 folds need no corner locus.  m_1 is the support function of conv(A), so T_1
 is its edge fan, read off the facets that the regions of length one share
@@ -239,8 +238,8 @@ class TCI:
 
     ``mci`` is the MCI the chain was built from, set by :func:`tci_from_mci`
     and None on a chain built by hand.  The shadow route of ``elimination``
-    restricts the threshold functions by walking the regions of an image of
-    that MCI, so it raises ``MissingMCI`` on a chain without one.
+    reads its support values off the BKK numbers of MCIs shifted from that
+    MCI, so it raises ``MissingMCI`` on a chain without one.
     """
 
     __slots__ = ("fans", "functions", "codim", "collapsed_at", "mci")
@@ -321,18 +320,20 @@ def _children(mci: MCI, prefix: tuple, region) -> Iterator:
     the walk the regions are full dimensional; :func:`_prefix_walls` cuts a
     cone of T_1 the same way.
     Eligible ids that share a point have identical regions, so each prefix
-    cuts once per distinct point; each id still gets its own child prefix,
-    because what is eligible after it depends on the id.
+    cuts once per distinct point, by the differences to the other distinct
+    points; each id still gets its own child prefix, because what is
+    eligible after it depends on the id.
     """
     chosen = list(prefix)
     r = len(prefix)
     eligible = [a for a in sorted(mci.support.ids())
                 if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+    points = list(dict.fromkeys(mci.support.point(a) for a in eligible))
     cuts = {}
     for a in eligible:
         p = mci.support.point(a)
         if p not in cuts:
-            diffs = [vsub(p, mci.support.point(b)) for b in eligible if b != a]
+            diffs = [vsub(p, q) for q in points if q != p]
             cuts[p] = _cut_cone(region, diffs, [], region.dim)
         if cuts[p] is not None:
             yield prefix + (a,), cuts[p]
@@ -493,23 +494,6 @@ def _prefix_walls(mci: MCI, walls: Sequence) -> list:
                 seen.add(piece.key())
                 pieces.append((piece, w, mci.support.point(child[-1])))
     return _wall_step(pieces, mci.ambient, _jump)
-
-
-def _joint_threshold_cells(mci: MCI) -> list:
-    """Common refinement of all threshold functions m_1, …, m_codim of an MCI.
-
-    Every region of ``_prefix_regions`` lies in its parent's, so the regions
-    of the full-length prefixes tile covector space, and on each of them
-    every m_k is linear with covector the k-th point of the prefix.  Returns
-    (region, (covector of m_1, …, covector of m_codim)) cells, one per
-    distinct region: equal full-dimensional regions carry equal covectors.
-    """
-    cells = {}
-    for prefix, region in _prefix_regions(mci, mci.codim).items():
-        if len(prefix) == mci.codim:
-            cells.setdefault(region.key(),
-                             (region, tuple(mci.support.point(a) for a in prefix)))
-    return list(cells.values())
 
 
 def bkk_number(tci: TCI) -> int:

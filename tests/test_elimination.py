@@ -1,5 +1,6 @@
 """Eliminant polytopes: projection route, shadow route, and their agreement."""
 
+import sys
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from tropeci import elimination
 from tropeci import mci as mci_module
+from tropeci import ppfunc
 from tropeci.cones import Cone, full_space
 from tropeci.fans import WeightedFan
 from tropeci.linalg import solve, vsub
-from tropeci.mci import MCI, TCI, Matroid, SupportMultiset, tci_from_mci
+from tropeci.mci import (MCI, TCI, Matroid, SupportMultiset, bkk_number, classical_mci,
+                         tci_from_mci)
 from tropeci.elimination import (
     DegenerateEliminant,
     MissingMCI,
@@ -286,27 +289,91 @@ def test_routes_agree_in_five_dimensions():
 
 
 def test_one_region_walk_per_direction_and_none_pulled_back(monkeypatch):
-    # the restricted factors come from the image MCI: one region walk for the
-    # chain, one for the zeros mᵢ(x, 0) and one per direction, no pullback
+    # the shadow values come from shifted MCIs: one chain for the input, one
+    # slope chain and one chain per direction, each walked once, with no
+    # pullback and no call into ppfunc
     mci = two_block_mci(shifted_graph_points(2, 1), shifted_graph_points(2, 2))
-    walks, pullbacks = [], []
+    chains, walks, pullbacks, pp_calls = [], [], [], []
+    build = elimination.tci_from_mci
+    monkeypatch.setattr(elimination, "tci_from_mci",
+                        lambda m: chains.append(m) or build(m))
     walk = mci_module._prefix_regions
     monkeypatch.setattr(mci_module, "_prefix_regions",
                         lambda m, depth: walks.append(m) or walk(m, depth))
     pullback = elimination.pullback_linear
     monkeypatch.setattr(elimination, "pullback_linear",
                         lambda m, rows: pullbacks.append(rows) or pullback(m, rows))
-    result = eliminant_polytope(mci, ProjectionSplit(1, 2), verify_shadow=True)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == ppfunc.__file__:
+            pp_calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = eliminant_polytope(mci, ProjectionSplit(1, 2), verify_shadow=True)
+    finally:
+        sys.setprofile(None)
     assert result.route == "both"
-    assert len(walks) == 1 + 1 + len(result.support_values)
-    assert pullbacks == []
+    assert chains[0] is mci and len(chains) == 1 + 1 + len(result.support_values)
+    assert all(m.ambient == 2 and len(m.support) == 2 * len(mci.support)
+               for m in chains[1:])
+    assert walks == chains
+    assert pullbacks == [] and pp_calls == []
     monkeypatch.undo()
-    # and the image MCI gives the values of the per-direction shadow
+    # and the shifted MCIs give the values of the per-direction shadow
     tci = tci_from_mci(mci)
     for r in result.support_values:
         rows = [(1, 0), (0, r[0]), (0, r[1])]
         ms = [pullback_linear(m, rows) for m in tci.functions]
         assert eliminant_support_value(tci, r) == mixed_shadow_volume(ms)
+
+
+def shifted_value(mci, n, v, c):
+    """BKK(shifted(v, c)) − c·BKK(shifted(0, 1)), on the derived matroid."""
+    matroid = Matroid([(i, s) for i in mci.support.ids() for s in (0, 1)], "derived",
+                      fn=lambda ids: mci.matroid.rank({i for i, _ in ids}))
+
+    def number(v, c):
+        return bkk_number(tci_from_mci(elimination._shifted_mci(mci, matroid, n, v, c)))
+
+    return number(v, c) - c * number((0,) * len(v), 1)
+
+
+@st.composite
+def classical_systems(draw):
+    """A classical MCI for a split, with repeated points, and directions.
+
+    One point of a drawn block is repeated in another block (or its own), so
+    some ids share a point under parallel and some under independent columns.
+    """
+    split = draw(st.sampled_from([ProjectionSplit(1, 2), ProjectionSplit(2, 2)]))
+    dim, codim = split.total_dim, split.eliminated + 1
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    blocks = [draw(st.lists(point, min_size=2, max_size=3, unique=True))
+              for _ in range(codim)]
+    source, target = draw(st.integers(0, codim - 1)), draw(st.integers(0, codim - 1))
+    blocks[target].append(draw(st.sampled_from(blocks[source])))
+    direction = st.tuples(*[st.integers(-2, 2)] * split.kept).filter(
+        lambda v: gcd(*v) == 1)
+    vs = draw(st.lists(direction, min_size=1, max_size=2, unique=True))
+    return classical_mci(blocks), split, vs
+
+
+@settings(max_examples=30)
+@given(classical_systems())
+def test_shifted_route_agrees_with_the_pullback_route_on_classical_systems(system):
+    mci, split, vs = system
+    tci = tci_from_mci(mci)
+    assume(tci.collapsed_at is None)
+    n = split.eliminated
+    expected = pullback_support_values(tci, vs, n)
+    assert [eliminant_support_value(tci, v) for v in vs] == expected
+    # C = 1 + max |v·p_kept| is inside the range where the BKK number is
+    # affine in C: one more gives the same value
+    for v, value in zip(vs, expected):
+        c = 1 + max(abs(sum(a * b for a, b in zip(v, p[n:])))
+                    for _, p in mci.support.points)
+        assert shifted_value(mci, n, v, c) == shifted_value(mci, n, v, c + 1) == value
 
 
 @st.composite
@@ -336,7 +403,7 @@ def systems_with_a_loop(draw):
 
 @settings(max_examples=20)
 @given(systems_with_a_loop())
-def test_image_route_agrees_with_the_pullback_route(system):
+def test_shifted_route_agrees_with_the_pullback_route_with_a_loop(system):
     mci, split, vs = system
     tci = tci_from_mci(mci)
     assume(tci.collapsed_at is None)

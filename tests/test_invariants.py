@@ -1,5 +1,7 @@
 """Valuations of virtual polytopes, Hirzebruch genera, and CSM classes."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -349,6 +351,31 @@ def test_csm_of_a_surface():
     assert fans_equal(csm.fan(1), tci.fans[-1])
     assert euler_from_csm(tci) == 8
     assert euler_from_csm(tci) == euler_from_genera([honest(tet)])
+
+
+class TrackedFan(WeightedFan):
+    """A fan that can be weakly referenced (``WeightedFan`` has slots only)."""
+
+
+def test_csm_leaves_no_cycle_that_holds_the_chain():
+    # with the cyclic collector off, the chain's last fan is freed as soon
+    # as the caller drops the chain and its classes
+    tet = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tci = tci_from_mci(classical_mci([tet]))
+        fan = tci.fans[-1]
+        tci.fans[-1] = TrackedFan(fan.ambient, fan.cones, dim=fan.dim)
+        last = weakref.ref(tci.fans[-1])
+        del fan
+        csm = tropical_csm(tci)
+        assert len(csm.classes) == 3
+        del tci, csm
+        assert last() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_csm_of_an_unbalanced_chain_raises():
