@@ -15,16 +15,21 @@ folds need no corner locus.  m_1 is the support function of conv(A), so T_1
 is its edge fan, read off the facets that the regions of length one share
 (``_edge_walls``).  Greedy selection does not depend on how ties are broken,
 so on the closed region of a prefix (v,) the function m_2 is the max over
-the ids still eligible after v, and T_2 is the wall step of each cone of
-T_1 cut by the children of one such prefix (``_prefix_walls``).  The last
-fold of a full-codimension chain lands on a curve, where the corner locus
-reads the last function by its values.  So a chain walks only the levels
-that a fold by refinement still needs, and one level in ℤ³.  The weight of
-the final zero-dimensional fan is the generalized BKK number.
+the ids still eligible after v, and T_2 is the wall step of the pieces of
+m_2 on each cone of T_1 (``_prefix_walls``).  On a pointed cone with two
+rays, as every edge cone of a full-dimensional conv(A) in ℤ³ is, the
+pieces are read off a sweep of the upper envelope of the points' values at
+the two rays (``_envelope_pieces``); any other cone is cut by the children
+of one such prefix.  The last fold of a full-codimension chain lands on a
+curve, where the corner locus reads the last function by its values.  So a
+chain walks only the levels that a fold by refinement still needs, and one
+level in ℤ³.  The weight of the final zero-dimensional fan is the
+generalized BKK number.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -99,11 +104,12 @@ class SupportMultiset:
 class Matroid:
     """Matroid given by a column matrix or an explicit rank table."""
 
-    __slots__ = ("ground", "_kind", "_columns", "_table", "_fn", "_cache")
+    __slots__ = ("ground", "_members", "_kind", "_columns", "_table", "_fn", "_cache")
 
     def __init__(self, ground: Sequence, kind: str, columns=None, table=None, fn=None):
         self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
+        self._members = frozenset(self.ground)
+        if len(self._members) != len(self.ground):
             raise ValueError("repeated ground ids")
         self._kind, self._columns, self._table, self._fn = kind, columns, table, fn
         self._cache = {}
@@ -151,12 +157,16 @@ class Matroid:
                         raise ValueError("rank table is not submodular")
 
     def rank(self, subset: Iterable) -> int:
+        """Rank of a set of ground ids; UnknownElement for any other id.
+
+        The cache is read first: a key is stored only after its ids passed.
+        """
         key = frozenset(subset)
-        for i in key:
-            if i not in self.ground:
-                raise UnknownElement(i)
         if key in self._cache:
             return self._cache[key]
+        unknown = key - self._members
+        if unknown:
+            raise UnknownElement(next(iter(unknown)))
         if self._kind == "matrix":
             r = mat_rank([self._columns[i] for i in key]) if key else 0
         elif self._kind == "table":
@@ -229,12 +239,13 @@ class TCI:
     (NotBalanced on an unbalanced base).  On the full space with weight 1,
     the threshold functions m_1 and m_2 of one MCI (:class:`ThresholdFunction`)
     fold on greedy prefixes instead: T_1 is the edge fan of conv(A)
-    (:func:`_edge_walls`) and T_2 the walls of each edge cone cut by the
-    children of one of its vertex prefixes (:func:`_prefix_walls`).  Both
-    give the corner loci, cone for cone and weight for weight.  The fold
-    stops at the first zero fan before the last function, sets
-    ``collapsed_at`` and keeps the functions used; ``codim`` is the number
-    of functions given.
+    (:func:`_edge_walls`) and T_2 the walls of the pieces of m_2 on each
+    edge cone, read after one of its vertex prefixes (:func:`_prefix_walls`):
+    by a sweep of the envelope on a pointed two-ray cone, else by cutting
+    the prefix's children.  Both give the corner loci, cone for cone and
+    weight for weight.  The fold stops at the first zero fan before the
+    last function, sets ``collapsed_at`` and keeps the functions used;
+    ``codim`` is the number of functions given.
 
     ``mci`` is the MCI the chain was built from, set by :func:`tci_from_mci`
     and None on a chain built by hand.  The shadow route of ``elimination``
@@ -311,23 +322,32 @@ def tci_threshold(matroid: Matroid, support: SupportMultiset, k: int, l):
     return dot(l, support.point(chosen[-1]))
 
 
+def _eligible(mci: MCI, prefix: tuple) -> list:
+    """Ids, sorted, whose point the greedy walk may take after the prefix.
+
+    An id is eligible when it extends the prefix to an independent set.
+    """
+    chosen = list(prefix)
+    r = len(prefix)
+    return [a for a in sorted(mci.support.ids())
+            if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+
+
 def _children(mci: MCI, prefix: tuple, region) -> Iterator:
     """(prefix + (a,), piece) for each a whose piece keeps the region's dimension.
 
     The piece of prefix + (a,) is the prefix's region cut by p_a − p_b ≥ 0
     for the other eligible b; the cut goes through the parent's extreme rays
     and stops as soon as the piece drops below the region's dimension.  In
-    the walk the regions are full dimensional; :func:`_prefix_walls` cuts a
-    cone of T_1 the same way.
+    the walk the regions are full dimensional; :func:`_prefix_walls` cuts
+    an edge cone this way only when it is not a pointed cone with two rays,
+    which it folds by :func:`_envelope_pieces` instead.
     Eligible ids that share a point have identical regions, so each prefix
     cuts once per distinct point, by the differences to the other distinct
     points; each id still gets its own child prefix, because what is
     eligible after it depends on the id.
     """
-    chosen = list(prefix)
-    r = len(prefix)
-    eligible = [a for a in sorted(mci.support.ids())
-                if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+    eligible = _eligible(mci, prefix)
     points = list(dict.fromkeys(mci.support.point(a) for a in eligible))
     cuts = {}
     for a in eligible:
@@ -476,23 +496,74 @@ def _edge_walls(mci: MCI, regions: dict) -> list:
             for (facet, prefix, v), (_, _, w) in walls.values()]
 
 
+def _envelope_pieces(mci: MCI, prefix: tuple, sigma) -> list:
+    """(piece, covector) per domain of linearity on σ of the max of the points
+    eligible after the prefix, as :func:`_children` gives them deduplicated
+    by key; σ is a pointed cone with two rays r₁ < r₂.
+
+    On x = r₁ + s·r₂ (s ≥ 0) each distinct eligible point p is the line
+    a + s·b with (a, b) = (p·r₁, p·r₂); points with one pair are one line,
+    kept as the first in eligible order.  The upper envelope starts at the
+    lexicographic maximum (a₀, b₀) and steps to the line with the least
+    crossing ratio (a₀ − a)/(b − b₀) among those with b > b₀, the larger b
+    on a tie, so each step moves s strictly on and no line touches the
+    envelope at a point only.  A line alone on the envelope is the max at
+    both rays, so σ is its piece; else each piece is σ cut by its
+    differences to its one or two neighbours in the sweep.  Pieces come in
+    eligible order of their points.
+    """
+    points = list(dict.fromkeys(mci.support.point(a) for a in _eligible(mci, prefix)))
+    r1, r2 = sigma.rays
+    lines = {}
+    for p in points:
+        lines.setdefault((dot(p, r1), dot(p, r2)), p)
+    a0, b0 = max(lines)
+    sweep = [(a0, b0)]
+    while True:
+        up = [ab for ab in lines if ab[1] > b0]
+        if not up:
+            break
+        a0, b0 = min(up, key=lambda ab: (Fraction(a0 - ab[0], ab[1] - b0), -ab[1]))
+        sweep.append((a0, b0))
+    tops = [lines[ab] for ab in sweep]
+    if len(tops) == 1:
+        return [(sigma, tops[0])]
+    pieces = []
+    for j, p in enumerate(tops):
+        diffs = [vsub(p, tops[i]) for i in (j - 1, j + 1) if 0 <= i < len(tops)]
+        pieces.append((_cut_cone(sigma, diffs, [], 2), p))
+    return sorted(pieces, key=lambda cp: points.index(cp[1]))
+
+
 def _prefix_walls(mci: MCI, walls: Sequence) -> list:
     """T_2 = δ_{m_2}·T_1 as (wall, weight) pairs, from the walls of :func:`_edge_walls`.
 
     Greedy selection does not depend on how ties are broken (Oxley, *Matroid
     Theory*, §1.8), so on the closed region of the prefix (v,) that a cone σ
-    of T_1 keeps, m_2 is the max of p_b over the ids b eligible after v.
-    Its pieces on σ are the children of (v,) cut from σ, each with the point
-    of its last id as covector; pieces with one key are one piece.  They are
-    the domains of linearity of m_2 on σ, so neighbouring cones of T_1 cut
-    their common faces alike, and one wall step weighs their walls.
+    of T_1 keeps, m_2 is the max of p_b over the ids b eligible after v:
+    the support function of those points, read on σ.  Its pieces on σ are
+    its domains of linearity, each with the point that is the max there as
+    covector; pieces with one key are one piece.  On a pointed σ with two
+    rays they are read off the upper envelope of the points' values at the
+    two rays (:func:`_envelope_pieces`).  That is exact: σ is the set of
+    nonnegative combinations of its rays, so one linear function is at least
+    another on all of σ iff it is at least the other at both rays, and a
+    piece is cut out by the differences to its neighbours alone.  Any other
+    σ is cut by the children of (v,) (:func:`_children`).  The pieces are
+    the domains of linearity of m_2 on σ either way, so neighbouring cones
+    of T_1 cut their common faces alike, and one wall step weighs their walls.
     """
     pieces, seen = [], set()
     for sigma, w, prefix in walls:
-        for child, piece in _children(mci, prefix, sigma):
+        if sigma.lineality or len(sigma.rays) != 2:
+            cut = [(piece, mci.support.point(child[-1]))
+                   for child, piece in _children(mci, prefix, sigma)]
+        else:
+            cut = _envelope_pieces(mci, prefix, sigma)
+        for piece, covector in cut:
             if piece.key() not in seen:
                 seen.add(piece.key())
-                pieces.append((piece, w, mci.support.point(child[-1])))
+                pieces.append((piece, w, covector))
     return _wall_step(pieces, mci.ambient, _jump)
 
 

@@ -1,8 +1,9 @@
-"""The benchmark's operation outputs on seed 501, pinned by digest.
+"""The benchmark's operation outputs on seeds 501 and 911, pinned by digest.
 
 ``bench/workloads.py`` is loaded from its file and only read: each
-workload's operations run on its seed-501 inputs, and the SHA-256 of their
-outputs' reprs, one per line, must be the digest recorded here.  A change
+workload's operations run on its inputs of one seed, and the SHA-256 of
+their outputs' reprs, one per line, must be the digest recorded here.  Seed
+501 is pinned for every workload, and seed 911 for the two chain workloads.  A change
 that speeds a workload up must leave every output as it was; a change that
 means to alter an output records the new digest with the reason.
 """
@@ -21,6 +22,11 @@ DIGESTS = {
     "euler_genera": "5ad722181f604ab71cc6ea359bc332e796ac381e74884611f025746a74c82f5c",
 }
 
+DIGESTS_911 = {
+    "bkk_chain": "75297946c34fae62fce9fe87d2817b3f1e68a5e5d6a787da3ca54d799f52f46b",
+    "eliminant_verified": "fa3b5883dd9a59aedb72639bfd4ef1bd2ac5e24b6bd3e93b98e74dcc532982b8",
+}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location(
@@ -30,9 +36,18 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_every_output_of_seed_501_hashes_as_pinned(workload):
+def _digest(workload: str, seed: int) -> str:
     w = _workloads()
     op = w.OPERATIONS[workload]
-    text = "\n".join(repr(op(i)[0]) for i in w.make_inputs(workload, 501))
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[workload]
+    text = "\n".join(repr(op(i)[0]) for i in w.make_inputs(workload, seed))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_every_output_of_seed_501_hashes_as_pinned(workload):
+    assert _digest(workload, 501) == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS_911))
+def test_every_output_of_seed_911_hashes_as_pinned(workload):
+    assert _digest(workload, 911) == DIGESTS_911[workload]

@@ -30,6 +30,9 @@ from tropeci.mci import (
     TCI,
     ThresholdFunction,
     UnknownElement,
+    _children,
+    _edge_walls,
+    _envelope_pieces,
     _prefix_regions,
     bkk_number,
     chirotope,
@@ -82,6 +85,23 @@ def test_rank_matrix_oracle():
     assert m.rank(["a", "c"]) == 2
     with pytest.raises(UnknownElement):
         m.rank(["a", "zzz"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matroid.from_matrix({"a": (1, 1), "b": (1, 1), "c": (1, 2)}),
+    lambda: Matroid.from_rank_table(
+        "abc", {frozenset(s): min(len(s), 2) for r in range(4)
+                for s in combinations("abc", r)}),
+    lambda: Matroid.from_matrix({"a": (1, 1), "b": (1, 1), "c": (1, 2)}).truncate(1),
+])
+def test_an_unknown_id_is_refused_before_and_after_a_cached_call(make):
+    m = make()
+    with pytest.raises(UnknownElement):
+        m.rank(["a", "zzz"])
+    assert m.rank(["a", "c"]) == m.rank(["c", "a"]) > 0
+    for subset in (["a", "zzz"], ["zzz"], ["a", "c", "zzz"]):
+        with pytest.raises(UnknownElement):
+            m.rank(subset)
 
 
 def test_rank_one_per_binomial_is_two():
@@ -629,17 +649,18 @@ def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, mak
     mci = make()
     n = mci.ambient
     parents = []
-    children = mci_module._children
-    monkeypatch.setattr(mci_module, "_children", lambda m, prefix, region:
-                        parents.append((len(prefix), region.dim)) or
-                        children(m, prefix, region))
+    for name in ("_children", "_envelope_pieces"):
+        monkeypatch.setattr(mci_module, name, lambda m, prefix, region,
+                            cut=getattr(mci_module, name):
+                            parents.append((len(prefix), region.dim)) or
+                            cut(m, prefix, region))
     tci = tci_from_mci(mci)
     number = bkk_number(tci)
     last = tci.functions[-1]
     assert tci.collapsed_at is None and number > 0
     # the walk cuts the regions of length one from the full space, and the
-    # second fold cuts the children of one vertex prefix from each edge cone;
-    # no prefix of length two is cut from a region of the full space
+    # second fold cuts or sweeps the pieces of one vertex prefix on each edge
+    # cone; no prefix of length two is cut from a region of the full space
     assert set(parents) == {(0, n), (1, n - 1)} and last._cells is None
     monkeypatch.undo()
     # on first use the last function's cells are level n of a full walk
@@ -651,3 +672,73 @@ def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, mak
         assert last.value(x) == PLFunction(n, last.cells).value(x)
     assert number == bkk_number(
         TCI(tci.fans[0], [PLFunction(n, m.cells) for m in tci.functions]))
+
+
+@st.composite
+def z3_fold_mcis(draw):
+    """A codimension-2 MCI on points of {-1..2}³, classical or generic, with
+    loops and repeated points.  Often it holds (-1,-1,-1), (0,-1,-1),
+    (1,-1,-1): they span an edge of the hull, so they tie on all of its
+    normal cone, and being collinear their values at two rays are collinear
+    pairs."""
+    point = st.tuples(*[st.integers(-1, 2)] * 3)
+    pts = draw(st.lists(point, min_size=4, max_size=8))
+    if draw(st.booleans()):
+        pts += [(-1, -1, -1), (0, -1, -1), (1, -1, -1)]
+    if draw(st.booleans()):
+        pts.append(pts[0])  # a repeated point
+    if draw(st.booleans()):
+        sides = [draw(st.booleans()) for _ in pts]
+        assume(0 < sum(sides) < len(pts))
+        return classical_mci([[p for p, s in zip(pts, sides) if s == side]
+                              for side in (True, False)])
+    height = draw(st.integers(2, 3))
+    cols = [draw(st.tuples(*[st.integers(-2, 2)] * height)) for _ in pts]
+    if draw(st.booleans()):
+        cols[-1] = (0,) * height  # a loop
+    ids = [f"a{i}" for i in range(len(pts))]
+    matroid = Matroid.from_matrix(dict(zip(ids, cols)))
+    assume(matroid.rank(ids) >= 2)
+    return MCI(SupportMultiset(zip(ids, pts)), matroid, 2)
+
+
+def swept_and_cut(mci, prefix, sigma):
+    """(key, covector) lists of the envelope sweep and of ``_children``
+    deduplicated by key, on one cone for one prefix."""
+    swept = [(piece.key(), l) for piece, l in _envelope_pieces(mci, prefix, sigma)]
+    cut = {}
+    for child, piece in _children(mci, prefix, sigma):
+        cut.setdefault(piece.key(), mci.support.point(child[-1]))
+    return swept, list(cut.items())
+
+
+def two_ray_edge_cones(mci):
+    regions = {p: r for p, r in _prefix_regions(mci, 1).items() if p}
+    return [(sigma, prefix) for sigma, _, prefix in _edge_walls(mci, regions)
+            if not sigma.lineality and len(sigma.rays) == 2]
+
+
+@settings(max_examples=40)
+@given(z3_fold_mcis())
+def test_the_envelope_sweep_gives_the_pieces_that_children_cut(mci):
+    cones = two_ray_edge_cones(mci)
+    assume(cones)
+    for sigma, prefix in cones:
+        # the vertex prefix of the fold, and the empty one, after which the
+        # points of the cone's edge all tie on it
+        for p in (prefix, ()):
+            swept, cut = swept_and_cut(mci, p, sigma)
+            assert swept == cut
+
+
+def test_the_envelope_sweep_reads_four_pieces_off_one_edge_cone():
+    mci = classical_mci([[(1, 2, 2), (0, 2, 2), (1, 2, 0), (0, 1, 0)],
+                         [(0, 1, 1), (0, 2, 2), (2, 0, 2), (1, 1, 1)]])
+    sizes = []
+    for sigma, prefix in two_ray_edge_cones(mci):
+        swept, cut = swept_and_cut(mci, prefix, sigma)
+        assert swept == cut
+        sizes.append(len(swept))
+    assert max(sizes) == 4
+    tci = tci_from_mci(mci)
+    assert keyed(tci.fans[2]) == keyed(corner_locus(tci.functions[1], tci.fans[1]))
