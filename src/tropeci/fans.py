@@ -183,10 +183,12 @@ def _vanishes(x, span) -> bool:
 
 
 def _wall_step(pieces: Sequence, ambient: int, term) -> list:
-    """(wall, weight) over the walls of weighted pieces: one corner-locus step.
+    """(wall, weight, ...) over the walls of weighted pieces: one corner-locus step.
 
     Pieces are tuples (cone, weight, ...) with number or ``Poly`` weights, and
     they must meet face to face: walls are their cones' facets matched by key.
+    A wall carries on what its first incident piece holds after its third
+    entry, so pieces of three entries give (wall, weight) pairs.
     Wall ρ weighs Σ_j ``term(τ_j, τ_0, ũ_j)`` over its incident pieces τ_j, τ_0
     the first, with lifts ũ_j = ``_lift(τ_j, a_j)`` for the inequality a_j
     that cuts ρ from τ_j, and is dropped when that vanishes on span ρ.  Every
@@ -216,7 +218,7 @@ def _wall_step(pieces: Sequence, ambient: int, term) -> list:
             raise NotContinuous("pieces disagree on a shared wall")
         weight = sum(term(piece, first, u) for piece, u in incident)
         if not _vanishes(weight, span):
-            out.append((wall, weight))
+            out.append((wall, weight) + first[3:])
     return out
 
 

@@ -1,30 +1,28 @@
 """Matroids over lattice multisets and the threshold construction.
 
 The central algorithm turns a matroid on a finite lattice multiset into a
-nested chain of weighted fans.  It walks the prefixes of the matroid greedy
-selection depth first, keeping a prefix only while the cone of covectors
-that select it is full dimensional (``_prefix_regions``).  A child region
-is its parent region cut by the new halfspaces p_a − p_b ≥ 0 through the
-parent's extreme rays, so no region is converted from scratch
-(``_children``).  On the region of a length-k prefix the k-th threshold
-function is linear, so the regions of each length give that
-piecewise-linear function (:class:`ThresholdFunction`, whose values are a
-greedy selection).  A chain is its base fan and its functions:
-:class:`TCI` folds the fans itself.  From the full space, the first two
-folds need no corner locus.  m_1 is the support function of conv(A), so T_1
-is its edge fan, read off the facets that the regions of length one share
-(``_edge_walls``).  Greedy selection does not depend on how ties are broken,
-so on the closed region of a prefix (v,) the function m_2 is the max over
-the ids still eligible after v, and T_2 is the wall step of the pieces of
-m_2 on each cone of T_1 (``_prefix_walls``).  On a pointed cone with two
-rays, as every edge cone of a full-dimensional conv(A) in ℤ³ is, the
-pieces are read off a sweep of the upper envelope of the points' values at
-the two rays (``_envelope_pieces``); any other cone is cut by the children
-of one such prefix.  The last fold of a full-codimension chain lands on a
-curve, where the corner locus reads the last function by its values.  So a
-chain walks only the levels that a fold by refinement still needs, and one
-level in ℤ³.  The weight of the final zero-dimensional fan is the
-generalized BKK number.
+nested chain of weighted fans.  The region of a greedy prefix is the cone
+of covectors that select it; a child region is its parent region cut by the
+new halfspaces p_a − p_b ≥ 0 through the parent's extreme rays, kept only
+while it keeps the parent's dimension (``_children``).  On the region of a
+length-k prefix the k-th threshold function is linear, so the regions of
+each length give that piecewise-linear function (:class:`ThresholdFunction`,
+whose values are a greedy selection).  A chain is its base fan and its
+functions: :class:`TCI` folds the fans itself, from the full space by one
+rule on greedy prefixes.  m_1 is the support function of conv(A), so T_1 is
+its edge fan, read off the facets that the regions of length one share
+(``_edge_walls``).  Every cone of T_k keeps the prefix of one incident
+piece, and greedy selection does not depend on how ties are broken, so on
+that cone m_{k+1} is the max over the ids still eligible after the prefix;
+while T_k has dimension two or more, T_{k+1} is the wall step of those
+pieces on each cone (``_prefix_walls``).  On a pointed cone with two rays
+the pieces are read off a sweep of the upper envelope of the points' values
+at the two rays (``_envelope_pieces``); any other cone is cut by the
+children of its prefix.  The last fold of a full-codimension chain lands on
+a curve, where the corner locus reads the last function by its values.  So
+the chain of an MCI walks the prefixes from the root only to length one,
+and none of its folds refines a cone by cells.  The weight of the final zero-dimensional fan is
+the generalized BKK number.
 """
 
 from __future__ import annotations
@@ -205,9 +203,13 @@ def chirotope(columns: dict, basis: Sequence) -> int:
 
 
 class MCI:
-    """Matroid data over a support multiset with a target codimension."""
+    """Matroid data over a support multiset with a target codimension.
 
-    __slots__ = ("support", "matroid", "codim", "loops")
+    ``_after`` keeps the ids eligible after each greedy prefix read so far
+    (:func:`_eligible`).
+    """
+
+    __slots__ = ("support", "matroid", "codim", "loops", "_after")
 
     def __init__(self, support: SupportMultiset, matroid: Matroid, codim: int):
         if set(support.ids()) != set(matroid.ground):
@@ -223,6 +225,7 @@ class MCI:
             raise RankDeficient(
                 f"matroid rank {matroid.rank(self.support.ids())} < codim {codim}")
         self.codim = codim
+        self._after = {}
 
     @property
     def ambient(self) -> int:
@@ -237,14 +240,16 @@ class TCI:
 
     Each fan is ``corner_locus(m_k, fans[-1])`` with its cones sorted by key
     (NotBalanced on an unbalanced base).  On the full space with weight 1,
-    the threshold functions m_1 and m_2 of one MCI (:class:`ThresholdFunction`)
-    fold on greedy prefixes instead: T_1 is the edge fan of conv(A)
-    (:func:`_edge_walls`) and T_2 the walls of the pieces of m_2 on each
-    edge cone, read after one of its vertex prefixes (:func:`_prefix_walls`):
+    the leading threshold functions m_1, m_2, … of one MCI
+    (:class:`ThresholdFunction`) fold on greedy prefixes instead: T_1 is the
+    edge fan of conv(A) (:func:`_edge_walls`), and while T_k has dimension
+    two or more, T_{k+1} is the walls of the pieces of m_{k+1} on each cone
+    of T_k, read after the prefix that the cone keeps (:func:`_prefix_walls`):
     by a sweep of the envelope on a pointed two-ray cone, else by cutting
-    the prefix's children.  Both give the corner loci, cone for cone and
-    weight for weight.  The fold stops at the first zero fan before the
-    last function, sets ``collapsed_at`` and keeps the functions used;
+    the prefix's children.  These give the corner loci, cone for cone and
+    weight for weight.  A curve folds by ``corner_locus``, which reads the
+    function by its values.  The fold stops at the first zero fan before
+    the last function, sets ``collapsed_at`` and keeps the functions used;
     ``codim`` is the number of functions given.
 
     ``mci`` is the MCI the chain was built from, set by :func:`tci_from_mci`
@@ -263,11 +268,11 @@ class TCI:
         self.mci = None
         lead = _threshold_lead(base, functions)
         for k, m in enumerate(functions, 1):
-            if k == 1 and lead:
-                walls = _edge_walls(m.mci, m._level(1))
-                nxt = WeightedFan(base.ambient, [(c, w) for c, w, _ in walls], dim=base.dim - 1)
-            elif k == 2 and lead == 2:
-                nxt = WeightedFan(base.ambient, _prefix_walls(m.mci, walls), dim=base.dim - 2)
+            if k <= lead and (k == 1 or self.fans[-1].dim >= 2):
+                walls = _edge_walls(m.mci, m._level(1)) if k == 1 else \
+                    _prefix_walls(m.mci, walls)
+                nxt = WeightedFan(base.ambient, [(c, w) for c, w, _ in walls],
+                                  dim=base.dim - k)
             else:
                 nxt = corner_locus(m, self.fans[-1])
             self.fans.append(WeightedFan(base.ambient, sorted(
@@ -325,12 +330,16 @@ def tci_threshold(matroid: Matroid, support: SupportMultiset, k: int, l):
 def _eligible(mci: MCI, prefix: tuple) -> list:
     """Ids, sorted, whose point the greedy walk may take after the prefix.
 
-    An id is eligible when it extends the prefix to an independent set.
+    An id is eligible when it extends the prefix to an independent set.  The
+    list is read once per prefix and kept on the MCI, because every cone of
+    a fold that keeps one prefix asks for it.
     """
-    chosen = list(prefix)
-    r = len(prefix)
-    return [a for a in sorted(mci.support.ids())
-            if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+    if prefix not in mci._after:
+        chosen = list(prefix)
+        r = len(prefix)
+        mci._after[prefix] = [a for a in sorted(mci.support.ids())
+                              if a not in chosen and mci.matroid.rank(chosen + [a]) > r]
+    return mci._after[prefix]
 
 
 def _children(mci: MCI, prefix: tuple, region) -> Iterator:
@@ -338,9 +347,11 @@ def _children(mci: MCI, prefix: tuple, region) -> Iterator:
 
     The piece of prefix + (a,) is the prefix's region cut by p_a − p_b ≥ 0
     for the other eligible b; the cut goes through the parent's extreme rays
-    and stops as soon as the piece drops below the region's dimension.  In
-    the walk the regions are full dimensional; :func:`_prefix_walls` cuts
-    an edge cone this way only when it is not a pointed cone with two rays,
+    and stops as soon as the piece drops below the region's dimension.  The
+    regions of length one are the children of the full space, and
+    :meth:`ThresholdFunction._level` cuts deeper regions on from them, all
+    full dimensional.  :func:`_prefix_walls` cuts a cone of T_k this way
+    after the prefix it keeps, unless it is a pointed cone with two rays,
     which it folds by :func:`_envelope_pieces` instead.
     Eligible ids that share a point have identical regions, so each prefix
     cuts once per distinct point, by the differences to the other distinct
@@ -359,39 +370,16 @@ def _children(mci: MCI, prefix: tuple, region) -> Iterator:
             yield prefix + (a,), cuts[p]
 
 
-def _prefix_regions(mci: MCI, depth: int) -> dict:
-    """Selection regions of every greedy prefix of length ≤ depth that covers
-    an open cone.
-
-    Depth-first extension by :func:`_children`: a prefix is kept when its
-    region is full dimensional, and only kept prefixes are extended (regions
-    shrink along a prefix, so the pruning is exact).  The union of the kept
-    regions of each length covers covector space, so nothing else is ever
-    needed.
-    """
-    regions = {(): full_space(mci.ambient)}
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) >= depth:
-            continue
-        for child, region in _children(mci, prefix, regions[prefix]):
-            regions[child] = region
-            stack.append(child)
-    return regions
-
-
 class ThresholdFunction(PLFunction):
     """The k-th threshold function m_k of an MCI (k ≥ 1), read by its values.
 
     ``value(x)`` is :func:`tci_threshold`, a greedy selection that scans no
     cell.  The cells are the selection regions of the length-k prefixes,
-    each with the covector of its k-th point; ``regions`` is a region walk
-    (:func:`_prefix_regions`) of any depth.  When the walk stopped short of
-    k, the cells are tiled on first use by cutting on level by level from
-    its deepest level (:func:`_children`), so nothing is walked again from
-    the root.  :class:`TCI` folds m_1 and m_2 on the regions of length one,
-    and never asks for their cells.
+    each with the covector of its k-th point; ``regions`` are the regions of
+    length one, which the functions of one chain share.  The cells are tiled
+    on first use by cutting on level by level from them (:func:`_children`).
+    :class:`TCI` folds the functions of a chain on greedy prefixes and by
+    values, and never asks for their cells.
     """
 
     __slots__ = ("mci", "k", "_regions", "_cells")
@@ -406,10 +394,9 @@ class ThresholdFunction(PLFunction):
         return tci_threshold(self.mci.matroid, self.mci.support, self.k, x)
 
     def _level(self, k: int) -> dict:
-        """The regions of the length-k prefixes, cut on from the walk's deepest level."""
-        depth = min(k, max(map(len, self._regions)))
-        level = {p: r for p, r in self._regions.items() if len(p) == depth}
-        for _ in range(depth, k):
+        """The regions of the length-k prefixes, cut on from the regions of length one."""
+        level = self._regions
+        for _ in range(1, k):
             level = dict(child for p, r in level.items()
                          for child in _children(self.mci, p, r))
         return level
@@ -436,19 +423,16 @@ def tci_from_mci(mci: MCI) -> TCI:
     The k-th threshold function is a :class:`ThresholdFunction`: on the
     region of a length-k prefix the k-th selected point is constant, so the
     threshold is linear there, and the regions of one length tile covector
-    space.  The cell count stays proportional to the number of distinct
-    selections.  One region walk serves all functions, and it walks only
-    the levels that a fold by refinement still reads.  :class:`TCI` folds
-    m_1 and m_2 on the regions of length one; on a full-codimension MCI the
-    last function is folded onto the curve T_{n−1}, where ``corner_locus``
-    reads it by its values.  So the walk goes to depth n − 1 on a
-    full-codimension MCI, else to depth codim, and to depth 1 when that is
-    at most 2: a BKK chain in ℤ³ walks one level.  Deeper cells are cut
-    only if they are asked for.
+    space.  All functions share the regions of length one, the children of
+    the full space.  :class:`TCI` folds m_1 on them, every later function
+    on the greedy prefixes that the cones of the previous fan keep, and on
+    a full-codimension MCI the last function onto the curve T_{n−1}, where
+    ``corner_locus`` reads it by its values.  So no region of length two or
+    more is cut from the full space; cells are cut only if they are asked
+    for.
     """
     n = mci.ambient
-    depth = n - 1 if mci.codim == n else mci.codim
-    regions = _prefix_regions(mci, depth if depth > 2 else 1)
+    regions = dict(_children(mci, (), full_space(n)))
     tci = TCI(WeightedFan(n, [(full_space(n), 1)]),
               [ThresholdFunction(mci, k, regions) for k in range(1, mci.codim + 1)])
     tci.mci = mci
@@ -456,16 +440,16 @@ def tci_from_mci(mci: MCI) -> TCI:
 
 
 def _threshold_lead(base: WeightedFan, functions: Sequence) -> int:
-    """How many of m_1, m_2 fold on greedy prefixes: 0, 1 or 2.
+    """How many leading functions may fold on greedy prefixes.
 
-    They do when the base is the full space with weight 1 and they are the
-    threshold functions m_1 and m_2 of one MCI, in that order.
+    They may when the base is the full space with weight 1 and they are the
+    threshold functions m_1, m_2, … of one MCI, in that order.
     """
     if len(base.cones) != 1 or base.cones[0][1] != 1 or \
             len(base.cones[0][0].lineality) != base.ambient:
         return 0
     lead = 0
-    for k, m in enumerate(functions[:2], 1):
+    for k, m in enumerate(functions, 1):
         if not isinstance(m, ThresholdFunction) or m.k != k or m.mci is not functions[0].mci:
             break
         lead = k
@@ -497,26 +481,28 @@ def _edge_walls(mci: MCI, regions: dict) -> list:
 
 
 def _envelope_pieces(mci: MCI, prefix: tuple, sigma) -> list:
-    """(piece, covector) per domain of linearity on σ of the max of the points
+    """(piece, id) per domain of linearity on σ of the max of the points
     eligible after the prefix, as :func:`_children` gives them deduplicated
     by key; σ is a pointed cone with two rays r₁ < r₂.
 
-    On x = r₁ + s·r₂ (s ≥ 0) each distinct eligible point p is the line
-    a + s·b with (a, b) = (p·r₁, p·r₂); points with one pair are one line,
-    kept as the first in eligible order.  The upper envelope starts at the
+    On x = r₁ + s·r₂ (s ≥ 0) each eligible point p is the line a + s·b with
+    (a, b) = (p·r₁, p·r₂); ids with one pair are one line, kept as the
+    first in eligible order.  The upper envelope starts at the
     lexicographic maximum (a₀, b₀) and steps to the line with the least
     crossing ratio (a₀ − a)/(b − b₀) among those with b > b₀, the larger b
     on a tie, so each step moves s strictly on and no line touches the
     envelope at a point only.  A line alone on the envelope is the max at
     both rays, so σ is its piece; else each piece is σ cut by its
     differences to its one or two neighbours in the sweep.  Pieces come in
-    eligible order of their points.
+    eligible order of their ids.
     """
-    points = list(dict.fromkeys(mci.support.point(a) for a in _eligible(mci, prefix)))
+    eligible = _eligible(mci, prefix)
+    point = mci.support.point
     r1, r2 = sigma.rays
     lines = {}
-    for p in points:
-        lines.setdefault((dot(p, r1), dot(p, r2)), p)
+    for a in eligible:
+        p = point(a)
+        lines.setdefault((dot(p, r1), dot(p, r2)), a)
     a0, b0 = max(lines)
     sweep = [(a0, b0)]
     while True:
@@ -529,41 +515,44 @@ def _envelope_pieces(mci: MCI, prefix: tuple, sigma) -> list:
     if len(tops) == 1:
         return [(sigma, tops[0])]
     pieces = []
-    for j, p in enumerate(tops):
-        diffs = [vsub(p, tops[i]) for i in (j - 1, j + 1) if 0 <= i < len(tops)]
-        pieces.append((_cut_cone(sigma, diffs, [], 2), p))
-    return sorted(pieces, key=lambda cp: points.index(cp[1]))
+    for j, a in enumerate(tops):
+        diffs = [vsub(point(a), point(tops[i])) for i in (j - 1, j + 1) if 0 <= i < len(tops)]
+        pieces.append((_cut_cone(sigma, diffs, [], 2), a))
+    return sorted(pieces, key=lambda piece: eligible.index(piece[1]))
 
 
 def _prefix_walls(mci: MCI, walls: Sequence) -> list:
-    """T_2 = δ_{m_2}·T_1 as (wall, weight) pairs, from the walls of :func:`_edge_walls`.
+    """T_{k+1} = δ_{m_{k+1}}·T_k as (wall, weight, prefix) triples, from the
+    (cone, weight, prefix) triples of T_k; the prefixes have length k.
 
     Greedy selection does not depend on how ties are broken (Oxley, *Matroid
-    Theory*, §1.8), so on the closed region of the prefix (v,) that a cone σ
-    of T_1 keeps, m_2 is the max of p_b over the ids b eligible after v:
+    Theory*, §1.8), so on the closed region of the prefix that a cone σ of
+    T_k keeps, m_{k+1} is the max of p_b over the ids b eligible after it:
     the support function of those points, read on σ.  Its pieces on σ are
     its domains of linearity, each with the point that is the max there as
-    covector; pieces with one key are one piece.  On a pointed σ with two
-    rays they are read off the upper envelope of the points' values at the
-    two rays (:func:`_envelope_pieces`).  That is exact: σ is the set of
+    covector and the prefix extended by its id; pieces with one key are one
+    piece, kept with the first id in eligible order.  On a pointed σ with
+    two rays they are read off the upper envelope of the points' values at
+    the two rays (:func:`_envelope_pieces`).  That is exact: σ is the set of
     nonnegative combinations of its rays, so one linear function is at least
     another on all of σ iff it is at least the other at both rays, and a
     piece is cut out by the differences to its neighbours alone.  Any other
-    σ is cut by the children of (v,) (:func:`_children`).  The pieces are
-    the domains of linearity of m_2 on σ either way, so neighbouring cones
-    of T_1 cut their common faces alike, and one wall step weighs their walls.
+    σ is cut by the children of its prefix (:func:`_children`).  The pieces
+    are the domains of linearity of m_{k+1} on σ either way, so neighbouring
+    cones of T_k cut their common faces alike, and one wall step weighs
+    their walls; each wall keeps the prefix of its first incident piece,
+    whose closed region holds it, for the next fold.
     """
     pieces, seen = [], set()
     for sigma, w, prefix in walls:
         if sigma.lineality or len(sigma.rays) != 2:
-            cut = [(piece, mci.support.point(child[-1]))
-                   for child, piece in _children(mci, prefix, sigma)]
+            cut = [(piece, child[-1]) for child, piece in _children(mci, prefix, sigma)]
         else:
             cut = _envelope_pieces(mci, prefix, sigma)
-        for piece, covector in cut:
+        for piece, a in cut:
             if piece.key() not in seen:
                 seen.add(piece.key())
-                pieces.append((piece, w, covector))
+                pieces.append((piece, w, mci.support.point(a), prefix + (a,)))
     return _wall_step(pieces, mci.ambient, _jump)
 
 

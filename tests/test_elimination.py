@@ -290,16 +290,17 @@ def test_routes_agree_in_five_dimensions():
 
 def test_one_region_walk_per_direction_and_none_pulled_back(monkeypatch):
     # the shadow values come from shifted MCIs: one chain for the input, one
-    # slope chain and one chain per direction, each walked once, with no
-    # pullback and no call into ppfunc
+    # slope chain and one chain per direction, each walked once from the
+    # root, with no pullback and no call into ppfunc
     mci = two_block_mci(shifted_graph_points(2, 1), shifted_graph_points(2, 2))
     chains, walks, pullbacks, pp_calls = [], [], [], []
     build = elimination.tci_from_mci
     monkeypatch.setattr(elimination, "tci_from_mci",
                         lambda m: chains.append(m) or build(m))
-    walk = mci_module._prefix_regions
-    monkeypatch.setattr(mci_module, "_prefix_regions",
-                        lambda m, depth: walks.append(m) or walk(m, depth))
+    children = mci_module._children
+    monkeypatch.setattr(mci_module, "_children", lambda m, prefix, region:
+                        (walks.append(m) if prefix == () else None) or
+                        children(m, prefix, region))
     pullback = elimination.pullback_linear
     monkeypatch.setattr(elimination, "pullback_linear",
                         lambda m, rows: pullbacks.append(rows) or pullback(m, rows))

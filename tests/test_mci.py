@@ -33,7 +33,6 @@ from tropeci.mci import (
     _children,
     _edge_walls,
     _envelope_pieces,
-    _prefix_regions,
     bkk_number,
     chirotope,
     classical_mci,
@@ -223,7 +222,7 @@ def test_a_threshold_index_below_one_is_refused():
         with pytest.raises(ValueError, match="< 1"):
             tci_threshold(mci.matroid, mci.support, k, (1, 2))
         with pytest.raises(ValueError, match="< 1"):
-            ThresholdFunction(mci, k, _prefix_regions(mci, 1))
+            ThresholdFunction(mci, k, dict(_children(mci, (), full_space(2))))
 
 
 def test_threshold_agrees_with_sublevel_and_subset_oracles():
@@ -404,15 +403,16 @@ def test_bkk_nonnegative_on_random_matrix_mcis():
 # -- selection regions --------------------------------------------------------
 
 
-def prefix_regions_from_scratch(mci):
-    """Region keys of _prefix_regions, each region converted from all of its
+def prefix_regions_from_scratch(mci, depth):
+    """(prefix, region key) of every greedy prefix of length 1 to depth whose
+    region is full dimensional, each region converted from all of its
     inequalities (the walk before regions were cut from their parents)."""
     n, point = mci.ambient, mci.support.point
     ids = sorted(mci.support.ids())
     regions, stack = {(): []}, [()]
     while stack:
         prefix = stack.pop()
-        if len(prefix) == mci.codim:
+        if len(prefix) == depth:
             continue
         eligible = [a for a in ids if a not in prefix
                     and mci.matroid.rank(list(prefix) + [a]) > len(prefix)]
@@ -422,7 +422,7 @@ def prefix_regions_from_scratch(mci):
             if Cone(n, ineqs=ineqs).dim == n:
                 regions[prefix + (a,)] = ineqs
                 stack.append(prefix + (a,))
-    return [(p, Cone(n, ineqs=q).key()) for p, q in regions.items()]
+    return [(p, Cone(n, ineqs=q).key()) for p, q in regions.items() if p]
 
 
 @st.composite
@@ -445,8 +445,11 @@ def small_mcis(draw):
 @settings(max_examples=30)
 @given(small_mcis())
 def test_prefix_regions_match_regions_converted_from_scratch(mci):
-    got = [(p, cone.key()) for p, cone in _prefix_regions(mci, mci.codim).items()]
-    assert got == prefix_regions_from_scratch(mci)
+    # every level is cut on from the regions of length one, which are the
+    # children of the full space
+    m = tci_from_mci(mci).functions[0]
+    got = {p: cone.key() for k in range(1, mci.codim + 1) for p, cone in m._level(k).items()}
+    assert got == dict(prefix_regions_from_scratch(mci, mci.codim))
 
 
 def classical_blocks(mci):
@@ -571,11 +574,12 @@ def generic_z4_mci():
 
 def level_cells(mci, k):
     """(key, covector) of the distinct cells on level k of a walk from the
-    root, sorted by key, as ``ThresholdFunction.cells`` lists them."""
-    regions = _prefix_regions(mci, k)
+    root that converts each region from scratch, sorted by key, as
+    ``ThresholdFunction.cells`` lists them."""
     seen = {}
-    for prefix in sorted(p for p in regions if len(p) == k):
-        seen.setdefault((regions[prefix].key(), mci.support.point(prefix[-1])), None)
+    for prefix, key in sorted(prefix_regions_from_scratch(mci, k)):
+        if len(prefix) == k:
+            seen.setdefault((key, mci.support.point(prefix[-1])), None)
     return sorted(seen, key=lambda kl: kl[0])
 
 
@@ -590,11 +594,11 @@ def test_cells_are_tiled_level_by_level_from_a_walk_of_depth_one(make):
 
 
 @st.composite
-def two_fold_mcis(draw):
-    """A codimension-2 MCI in ℤ²–ℤ⁴: classical (two blocks) or generic, with
-    loops, repeated points under different columns, and supports on the
-    hyperplane x_n = x_1."""
-    n = draw(st.integers(2, 4))
+def chain_mcis(draw):
+    """An MCI in ℤ²–ℤ⁴ of codimension 2 to n: classical (one block per
+    function) or generic, with loops, repeated points under different
+    columns, and supports on the hyperplane x_n = x_1."""
+    n, codim = draw(st.sampled_from([(n, c) for n in (2, 3, 4) for c in range(2, n + 1)]))
     point = st.tuples(*[st.integers(-1, 1 if n == 4 else 2)] * n)
     flat = draw(st.integers(0, 3)) == 0
 
@@ -603,21 +607,21 @@ def two_fold_mcis(draw):
 
     if draw(st.booleans()):
         blocks = [[place(p) for p in draw(st.lists(point, min_size=2, max_size=4))]
-                  for _ in range(2)]
+                  for _ in range(codim)]
         mci = classical_mci(blocks)
-        assume(mci.matroid.rank(mci.support.ids()) == 2)
+        assume(mci.matroid.rank(mci.support.ids()) == codim)
         return mci
-    pts = [place(p) for p in draw(st.lists(point, min_size=3, max_size=6))]
+    pts = [place(p) for p in draw(st.lists(point, min_size=codim + 1, max_size=6))]
     if draw(st.booleans()):
         pts.append(pts[0])  # a repeated point; its column is drawn afresh
-    height = draw(st.integers(2, 3))
+    height = draw(st.integers(codim, codim + 1))
     cols = [draw(st.tuples(*[st.integers(-2, 2)] * height)) for _ in pts]
     if draw(st.booleans()):
         cols[-1] = (0,) * height  # a loop
     ids = [f"a{i}" for i in range(len(pts))]
     matroid = Matroid.from_matrix(dict(zip(ids, cols)))
-    assume(matroid.rank(ids) >= 2)
-    return MCI(SupportMultiset(zip(ids, pts)), matroid, 2)
+    assume(matroid.rank(ids) >= codim)
+    return MCI(SupportMultiset(zip(ids, pts)), matroid, codim)
 
 
 def keyed(fan):
@@ -625,7 +629,7 @@ def keyed(fan):
 
 
 @settings(max_examples=40)
-@given(two_fold_mcis())
+@given(chain_mcis())
 def test_the_edge_fold_is_the_corner_locus_of_m1_on_the_full_space(mci):
     n = mci.ambient
     tci = tci_from_mci(mci)
@@ -635,7 +639,7 @@ def test_the_edge_fold_is_the_corner_locus_of_m1_on_the_full_space(mci):
 
 
 @settings(max_examples=40)
-@given(two_fold_mcis())
+@given(chain_mcis())
 def test_the_prefix_fold_is_the_corner_locus_of_m2_on_the_edge_fan(mci):
     tci = tci_from_mci(mci)
     assume(tci.collapsed_at is None)
@@ -644,24 +648,46 @@ def test_the_prefix_fold_is_the_corner_locus_of_m2_on_the_edge_fan(mci):
     assert keyed(tci.fans[2]) == keyed(want)
 
 
-@pytest.mark.parametrize("make", [hexagon_mci, generic_z3_mci])
-def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, make):
-    mci = make()
+@settings(max_examples=40)
+@given(chain_mcis())
+def test_every_fold_is_the_corner_locus_of_the_cells(mci):
+    # the reference folds every function, by refinement, as plain cells;
+    # all codim of them are built, since a collapse cuts tci.functions short
     n = mci.ambient
+    tci = tci_from_mci(mci)
+    regions = tci.functions[0]._regions
+    want = TCI(tci.fans[0], [PLFunction(n, ThresholdFunction(mci, k, regions).cells)
+                             for k in range(1, mci.codim + 1)])
+    assert tci.collapsed_at == want.collapsed_at
+    assert [keyed(fan) for fan in tci.fans] == [keyed(fan) for fan in want.fans]
+
+
+def record_parents(monkeypatch):
+    """(prefix length, region dimension) of every call of ``_children`` and
+    ``_envelope_pieces``, appended to the list returned."""
     parents = []
     for name in ("_children", "_envelope_pieces"):
         monkeypatch.setattr(mci_module, name, lambda m, prefix, region,
                             cut=getattr(mci_module, name):
                             parents.append((len(prefix), region.dim)) or
                             cut(m, prefix, region))
+    return parents
+
+
+@pytest.mark.parametrize("make", [hexagon_mci, generic_z3_mci])
+def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, make):
+    mci = make()
+    n = mci.ambient
+    parents = record_parents(monkeypatch)
     tci = tci_from_mci(mci)
     number = bkk_number(tci)
     last = tci.functions[-1]
     assert tci.collapsed_at is None and number > 0
-    # the walk cuts the regions of length one from the full space, and the
-    # second fold cuts or sweeps the pieces of one vertex prefix on each edge
-    # cone; no prefix of length two is cut from a region of the full space
-    assert set(parents) == {(0, n), (1, n - 1)} and last._cells is None
+    # the walk cuts the regions of length one from the full space, and each
+    # fold onto a cycle of dimension one or more cuts or sweeps the pieces of
+    # the prefix that each cone of the fan keeps; the fold onto the point
+    # reads values, so in the plane only the walk cuts
+    assert set(parents) == {(k, n - k) for k in range(n - 1)} and last._cells is None
     monkeypatch.undo()
     # on first use the last function's cells are level n of a full walk
     assert [(c.key(), l) for c, l in last.cells] == level_cells(mci, n)
@@ -672,6 +698,35 @@ def test_a_full_codimension_chain_cuts_no_region_of_full_length(monkeypatch, mak
         assert last.value(x) == PLFunction(n, last.cells).value(x)
     assert number == bkk_number(
         TCI(tci.fans[0], [PLFunction(n, m.cells) for m in tci.functions]))
+
+
+def generic_z4_codim3_mci():
+    """5 points affinely spanning ℤ⁴ in {0,1}⁴ with columns in {-2..2}³ in
+    general position, codimension 3, as ``eliminant_verified`` draws."""
+    rng = Random(503)
+    ids = [f"a{i}" for i in range(5)]
+    while True:
+        pts = [tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(5)]
+        cols = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(5)]
+        matroid = Matroid.from_matrix(dict(zip(ids, cols)))
+        if LatticePolytope(pts).dim == 4 and \
+                all(matroid.rank(c) == 3 for c in combinations(ids, 3)):
+            return MCI(SupportMultiset(zip(ids, pts)), matroid, 3)
+
+
+def test_a_chain_of_codimension_three_in_z4_folds_every_level_on_prefixes(monkeypatch):
+    mci = generic_z4_codim3_mci()
+    parents = record_parents(monkeypatch)
+    tci = tci_from_mci(mci)
+    # the walk from the root stops at length one; T_2 and T_3 cut or sweep
+    # the pieces of one prefix of length one and two on each cone of T_1 and
+    # T_2, and no function is tiled
+    assert set(parents) == {(0, 4), (1, 3), (2, 2)}
+    assert tci.collapsed_at is None and tci.fans[-1].dim == 1
+    assert all(m._cells is None for m in tci.functions)
+    monkeypatch.undo()
+    want = TCI(tci.fans[0], [PLFunction(4, m.cells) for m in tci.functions])
+    assert [keyed(fan) for fan in tci.fans] == [keyed(fan) for fan in want.fans]
 
 
 @st.composite
@@ -703,17 +758,17 @@ def z3_fold_mcis(draw):
 
 
 def swept_and_cut(mci, prefix, sigma):
-    """(key, covector) lists of the envelope sweep and of ``_children``
+    """(key, id) lists of the envelope sweep and of ``_children``
     deduplicated by key, on one cone for one prefix."""
-    swept = [(piece.key(), l) for piece, l in _envelope_pieces(mci, prefix, sigma)]
+    swept = [(piece.key(), a) for piece, a in _envelope_pieces(mci, prefix, sigma)]
     cut = {}
     for child, piece in _children(mci, prefix, sigma):
-        cut.setdefault(piece.key(), mci.support.point(child[-1]))
+        cut.setdefault(piece.key(), child[-1])
     return swept, list(cut.items())
 
 
 def two_ray_edge_cones(mci):
-    regions = {p: r for p, r in _prefix_regions(mci, 1).items() if p}
+    regions = dict(_children(mci, (), full_space(3)))
     return [(sigma, prefix) for sigma, _, prefix in _edge_walls(mci, regions)
             if not sigma.lineality and len(sigma.rays) == 2]
 
