@@ -315,9 +315,9 @@ class PairReport:
 def interesting_pair(t_fan: WeightedFan, f_fan: WeightedFan) -> PairReport:
     """Stable pairing at the origin plus connectedness of the first factor.
 
-    The pair qualifies when the displaced intersection count vanishes and
-    the maximal cones of the first fan hang together through shared nonzero
-    faces.
+    The pair qualifies when the stable intersection number
+    (``fans.stable_intersection_number``) vanishes and the maximal cones of
+    the first fan hang together through shared nonzero faces.
     """
     if t_fan.ambient != f_fan.ambient:
         raise ValueError("ambient mismatch")

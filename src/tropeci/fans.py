@@ -4,20 +4,19 @@ A weighted fan is a pure-dimensional collection of rational cones with
 integer (occasionally rational, during intermediate computations) weights.
 The operations here treat fans as cycles: addition, equality up to
 refinement, balancing verification through quotient-lattice lifts,
-pushforward along surjective lattice maps, and stable (generically
-displaced) intersection numbers.  All of it runs in ambient coordinates:
-a wall lift is read off the facet inequality of the cone, and the cycle
-refinement chambers each span of cones in place, so nothing is written
-in lattice coordinates of a span.
+pushforward along surjective lattice maps, and stable intersection
+numbers at one lexicographic displacement.  All of it runs in ambient
+coordinates: a wall lift is read off the facet inequality of the cone, and
+the cycle refinement chambers each span of cones in place, so nothing is
+written in lattice coordinates of a span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from random import Random
 from typing import Iterable, Sequence
 
-from .cones import Cone, NotAFan, _cut_cone, _span_chambers, overlaps
+from .cones import Cone, NotAFan, _cut_cone, _span_chambers, dual_description, overlaps
 from .linalg import (
     canonical_span_rows,
     dot,
@@ -48,10 +47,6 @@ class NotSurjective(ValueError):
 
 class NotComplementary(ValueError):
     pass
-
-
-class NotGeneric(RuntimeError):
-    """No sampled displacement put two fans in general position."""
 
 
 class WeightedFan:
@@ -324,11 +319,18 @@ def consolidate(pairs: Sequence, ambient: int, dim: int) -> WeightedFan:
 def stable_intersection_number(t_fan: WeightedFan, f_fan: WeightedFan) -> int:
     """Degree of the stable intersection of two complementary-dimension fans.
 
-    The second fan is displaced by a generically chosen vector; pairs of
-    cones meeting transversally in single relative-interior points contribute
-    the product of their weights times the index of the sum of their span
-    lattices.  Displacements are drawn from ``Random(0)``, so the number is
-    reproducible, and resampled until every incidence is generic.
+    By the fan displacement rule (Fulton–Sturmfels 1997, *Intersection theory
+    on toric varieties*), the degree is Σ w_σ·w_τ·[ℤⁿ : L_σ + L_τ] over the
+    pairs of cones σ of the first fan and τ of the second such that σ meets
+    τ + v, for any displacement v off finitely many proper subspaces.  That
+    happens exactly when v ∈ σ − τ.  The displacement here is
+    v = (ε, ε², …, εⁿ) with ε → 0⁺, which for small ε lies in no given
+    proper subspace: a pair whose spans do not sum to ℝⁿ is never met, and
+    for the others σ − τ is full-dimensional and holds v exactly when every
+    facet normal a has a·v > 0, that is when a is lexicographically
+    positive (its first nonzero entry is positive).  The count is the same
+    for every generic v only when both fans are balanced; on unbalanced
+    fans it is the count at this one displacement.
     """
     n = t_fan.ambient
     if f_fan.ambient != n:
@@ -338,60 +340,18 @@ def stable_intersection_number(t_fan: WeightedFan, f_fan: WeightedFan) -> int:
     if t_fan.dim + f_fan.dim != n:
         raise NotComplementary(
             f"dimensions {t_fan.dim} + {f_fan.dim} do not sum to {n}")
-    rng = Random(0)
-    for attempt in range(64):
-        radius = 611 + 97 * attempt
-        v = tuple(rng.randint(-radius, radius) for _ in range(n))
-        total = _displaced_count(t_fan, f_fan, v)
-        if total is not None:
-            return total
-    raise NotGeneric("no generic displacement found")
-
-
-def _displaced_count(t_fan: WeightedFan, f_fan: WeightedFan, v):
-    n = t_fan.ambient
     total = 0
     for sigma, ws in t_fan.cones:
         for tau, wf in f_fan.cones:
-            span_rows = [list(r) for r in sigma.span_rows()] + \
-                [list(r) for r in tau.span_rows()]
-            full = rank(span_rows) == n
-            point = _meet_point(sigma, tau, v)
-            if point is None:
+            rows = sigma.span_rows() + tau.span_rows()
+            if rank(rows) < n:
                 continue
-            if not full:
-                return None  # degenerate incidence: displacement not generic
-            x = point
-            xs = tuple(Fraction(c) for c in x)
-            xt = tuple(a - b for a, b in zip(xs, v))
-            if not _strictly_inside(sigma, xs) or not _strictly_inside(tau, xt):
-                return None
-            total += ws * wf * sublattice_index(span_rows)
+            normals, _ = dual_description(
+                sigma.rays + [vneg(r) for r in tau.rays],
+                sigma.lineality + tau.lineality, n)
+            if all(sign_normalized(a) == a for a in normals):
+                total += ws * wf * sublattice_index(rows)
     return total
-
-
-def _strictly_inside(cone: Cone, x) -> bool:
-    return all(dot(a, x) > 0 for a in cone.ineqs) and \
-        all(dot(e, x) == 0 for e in cone.eqs)
-
-
-def _meet_point(sigma: Cone, tau: Cone, v):
-    """Point of σ ∩ (τ + v), or None when the intersection is empty."""
-    n = sigma.ambient
-    ineqs = [tuple(a) + (0,) for a in sigma.ineqs]
-    ineqs += [tuple(b) + (-dot(b, v),) for b in tau.ineqs]
-    ineqs.append((0,) * n + (1,))
-    eqs = [tuple(e) + (0,) for e in sigma.eqs]
-    eqs += [tuple(e) + (-dot(e, v),) for e in tau.eqs]
-    hom = Cone(n + 1, ineqs=ineqs, eqs=eqs)
-    hits = [r for r in hom.rays if r[-1] > 0]
-    if not hits:
-        return None
-    # a bounded slice can only be a single point here; several rays with
-    # positive last coordinate mean the displacement was degenerate, which
-    # the caller's rank test rejects, so any hit will do
-    r = hits[0]
-    return tuple(Fraction(r[i], r[-1]) for i in range(n))
 
 
 def support_connected_off_origin(fan: WeightedFan) -> bool:

@@ -11,7 +11,6 @@ from tropeci import fans
 from tropeci.cones import Cone, NotAFan, _cut_cone, chamber_complex, full_space
 from tropeci.fans import (
     NotComplementary,
-    NotGeneric,
     NotSurjective,
     WeightedFan,
     check_fan_structure,
@@ -25,6 +24,7 @@ from tropeci.fans import (
     wall_lift,
 )
 from tropeci.linalg import canonical_span_rows, in_span, kernel_basis, vadd, vscale, vsub
+from tropeci.mci import classical_mci, tci_from_mci
 from tropeci.oracles import mixed_volume_ie, polygon_curve_rays, random_lattice_polytope
 from tropeci.polytopes import LatticePolytope
 from tropeci.ppfunc import Poly
@@ -205,10 +205,39 @@ def test_stable_intersection_requires_complementary_dims():
         stable_intersection_number(LINE, WeightedFan(2, [(full_space(2), 1)]))
 
 
-def test_stable_intersection_names_a_failed_displacement_search(monkeypatch):
-    monkeypatch.setattr(fans, "_displaced_count", lambda t_fan, f_fan, v: None)
-    with pytest.raises(NotGeneric):
-        stable_intersection_number(LINE, LINE)
+def surface(blocks):
+    """T_2 of the classical MCI of two blocks of points in ℤ⁴."""
+    return tci_from_mci(classical_mci(blocks)).fans[-1]
+
+
+def test_stable_intersection_of_two_surfaces_in_z4():
+    # MV(square, square) = 2 in the first two coordinates, times MV(e_3, e_4) = 1
+    squares = [[(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]] * 2
+    segments = [[(0, 0, 0, 0), (0, 0, 1, 0)], [(0, 0, 0, 0), (0, 0, 0, 1)]]
+    assert stable_intersection_number(surface(squares), surface(segments)) == 2
+
+
+cube_blocks = st.lists(st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=2,
+                                max_size=4, unique=True), min_size=4, max_size=4)
+
+
+@settings(max_examples=20)
+@given(cube_blocks)
+def test_stable_intersection_of_surfaces_in_z4_is_the_mixed_volume(blocks):
+    s, t = surface(blocks[:2]), surface(blocks[2:])
+    got = stable_intersection_number(s, t)
+    assert got == mixed_volume_ie([LatticePolytope(b) for b in blocks])
+    if s.is_zero() or t.is_zero():
+        assert got == 0
+
+
+@pytest.mark.parametrize("a,b", [
+    (WeightedFan(2, [], dim=1), LINE),
+    (LINE, WeightedFan(2, [(full_space(2), 1)])),
+], ids=["zero_against_nonzero", "different_dimensions"])
+def test_fans_of_unequal_shape_are_not_equal(a, b):
+    assert not fans_equal(a, b)
+    assert not fans_equal(b, a)
 
 
 def test_connectivity_of_support():

@@ -7,8 +7,10 @@ calls any more and options that no caller sets would pile up unnoticed.  So
 would hand-written copies of the ``linalg`` vector kernels, which bring back
 the slow generator form that those kernels replaced with C-level builtins,
 reads of a ``Cone``'s private slots outside ``cones``, which recover
-what a ``Cone`` method should hand over, and imports tucked into function
-bodies, which hide a module's dependencies from its header.
+what a ``Cone`` method should hand over, imports tucked into function
+bodies, which hide a module's dependencies from its header, and imports of
+``random`` outside ``oracles``, which would let a computed number depend on
+a draw.
 """
 
 import ast
@@ -123,6 +125,35 @@ def test_the_local_import_check_sees_a_leftover():
 def test_imports_live_at_module_top(path):
     assert [(line, name) for line, name in _local_imports(path.read_text())
             if (path.name, name) not in LAZY_IMPORTS] == []
+
+
+def _random_imports(source: str) -> list:
+    """Lines that import the ``random`` module or a name from it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "random" for m in modules):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_determinism_check_sees_an_import_of_random():
+    source = ("import os, random\n\ndef f():\n    from random import Random\n"
+              "from .random import x\nimport randomness\n")
+    assert _random_imports(source) == [1, 4]
+
+
+# only the oracles draw: they build seeded random test inputs
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "oracles.py"),
+                         ids=lambda p: p.name)
+def test_no_computation_imports_random(path):
+    assert _random_imports(path.read_text()) == []
 
 
 def _private_definitions(tree) -> list:

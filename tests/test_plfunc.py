@@ -154,6 +154,20 @@ def test_reconstruct_rejects_unbalanced():
         reconstruct_polytope(ray_fan([((1, 0), 1)]))
 
 
+@pytest.mark.parametrize("divisor", [
+    WeightedFan(2, [(full_space(2), 1)]),
+    WeightedFan(1, [(Cone(1, rays=[]), Fraction(1, 2))]),
+], ids=["full_dimensional", "half_weight_origin"])
+def test_reconstruct_refuses_a_cycle_that_is_not_an_integral_divisor(divisor):
+    with pytest.raises(NotADivisor):
+        reconstruct_polytope(divisor)
+
+
+def test_corner_locus_of_a_zero_curve_is_the_zero_point_cycle():
+    got = corner_locus(pl_from_polytope(TRIANGLE), WeightedFan(2, [], dim=1))
+    assert got.is_zero() and got.dim == 0
+
+
 def test_reconstruct_rejects_concave_jumps():
     d = corner_locus(pl_from_polytope(TRIANGLE), AMBIENT2)
     with pytest.raises(NotConvex):

@@ -256,6 +256,12 @@ def test_engine_dimension_mismatch():
         pp_iterated_number(f, unit_fan(1))
 
 
+def test_engine_degree_zero_is_the_constant_times_the_origin_weight():
+    f = PPFunction(2, 0, [(full_space(2), Poly.const(2, 3))])
+    origin = WeightedFan(2, [(Cone(2, rays=[]), 2)])
+    assert pp_iterated_number(f, origin) == 6
+
+
 def test_engine_degree_one_is_the_corner_locus_weight():
     plus, minus = half_line_cells()
     f = PPFunction(1, 1, [(plus, Poly.linear((1,))),
