@@ -200,8 +200,8 @@ def _support_values(mci: MCI, vs: Sequence[tuple], n: int):
     property against the shadow of the pulled-back functions, not derived.
     """
     zero = (0,) * (mci.ambient - n)
-    matroid = Matroid([(i, s) for i in mci.support.ids() for s in (0, 1)], "derived",
-                      fn=lambda ids: mci.matroid.rank({i for i, _ in ids}))
+    matroid = Matroid([(i, s) for i in mci.support.ids() for s in (0, 1)],
+                      lambda ids: mci.matroid.rank({i for i, _ in ids}))
     slope = bkk_number(tci_from_mci(_shifted_mci(mci, matroid, n, zero, 1)))
     for v in vs:
         c = 1 + max(abs(dot(v, p[n:])) for _, p in mci.support.points)

@@ -14,8 +14,10 @@ Euler characteristic read off the zero-dimensional class.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 from math import comb, factorial
+from operator import add
 
 from .fans import WeightedFan, consolidate
 from .mci import TCI
@@ -27,45 +29,50 @@ class GenusIndexOutOfRange(ValueError):
     pass
 
 
-def _origin(ambient: int) -> LatticePolytope:
-    return LatticePolytope([(0,) * ambient])
-
-
 class VirtualPolytope:
     """Formal difference of the support functions of ``plus`` and ``minus``.
 
     Two pairs represent the same virtual polytope exactly when the cross
     Minkowski sums agree; ``equivalent`` tests that directly.  ``minus``
     defaults to a point, which embeds honest polytopes.  Each object keeps
-    its dilates and its count valuation once computed, so the genera of one
-    object share them.
+    what is derived from it once computed: its dilates, its sums as the
+    left summand, its decomposition and its two valuations.  So the genera
+    of one system share them, and callers keep no cache.
     """
 
-    __slots__ = ("plus", "minus", "_dilates", "_count")
+    __slots__ = ("plus", "minus", "_derived", "_decomposition", "_count", "_volume")
 
     def __init__(self, plus: LatticePolytope, minus: LatticePolytope | None = None):
         if minus is None:
-            minus = _origin(plus.ambient)
+            minus = LatticePolytope([(0,) * plus.ambient])
         if plus.ambient != minus.ambient:
             raise ValueError("plus and minus parts live in different lattices")
         self.plus = plus
         self.minus = minus
-        self._dilates = {}
+        self._derived = {}  # dilates by factor, sums by right summand
+        self._decomposition = None
         self._count = None
+        self._volume = None
 
     @property
     def ambient(self) -> int:
         return self.plus.ambient
 
     def dilate(self, t: int) -> "VirtualPolytope":
-        if t not in self._dilates:
-            self._dilates[t] = VirtualPolytope(self.plus.dilate(t),
-                                               self.minus.dilate(t))
-        return self._dilates[t]
+        if t == 1:
+            return self
+        if t not in self._derived:
+            self._derived[t] = VirtualPolytope(self.plus.dilate(t), self.minus.dilate(t))
+        return self._derived[t]
 
     def __add__(self, other: "VirtualPolytope") -> "VirtualPolytope":
-        return VirtualPolytope(self.plus.minkowski_sum(other.plus),
-                               self.minus.minkowski_sum(other.minus))
+        # keyed by identity (no __eq__); b + a reads a + b: no two objects key each other
+        if self in other._derived:
+            return other._derived[self]
+        if other not in self._derived:
+            self._derived[other] = VirtualPolytope(self.plus.minkowski_sum(other.plus),
+                                                   self.minus.minkowski_sum(other.minus))
+        return self._derived[other]
 
     def translate(self, r: LatticePolytope) -> "VirtualPolytope":
         """The equivalent representation with ``r`` added to both parts."""
@@ -86,7 +93,7 @@ class IndicatorCombination:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = [(int(c), p) for c, p in terms if c != 0]
+        self.terms = tuple((int(c), p) for c, p in terms if c != 0)
 
     def value_at(self, x) -> int:
         """Pointwise value at a rational point."""
@@ -120,32 +127,39 @@ def _reflect(poly: LatticePolytope) -> LatticePolytope:
 
 
 def val_decompose(m: VirtualPolytope) -> IndicatorCombination:
-    """Signed indicator decomposition of a virtual polytope.
+    """Signed indicator decomposition of a virtual polytope, kept on ``m``.
 
     Every face f of the reflection of the minus part contributes the term
     (-1)^(dim f) · 1_{plus + f}.  This sign makes the result independent of
     the chosen representation: the combinations obtained from (plus + R,
     minus + R) induce the same count and volume valuations for every
     polytope R, and on honest polytopes (minus a point) the decomposition
-    is the plain indicator of the plus part.
+    is the plain indicator of the plus part.  It is computed once per
+    object; later calls return the same combination.
     """
-    reflected = _reflect(m.minus)
-    terms = []
-    for fv in reflected.faces():
-        face = LatticePolytope._from_vertices(fv)
-        terms.append(((-1) ** face.dim, m.plus.minkowski_sum(face)))
-    return IndicatorCombination(terms)
+    if m._decomposition is None:
+        terms = []
+        for fv in _reflect(m.minus).faces():
+            face = LatticePolytope._from_vertices(fv)
+            terms.append(((-1) ** face.dim, m.plus.minkowski_sum(face)))
+        m._decomposition = IndicatorCombination(terms)
+    return m._decomposition
+
+
+def _terms(m: VirtualPolytope) -> tuple:
+    # the kept decomposition is read here, so each call of val_decompose is a new one
+    return (m._decomposition or val_decompose(m)).terms
 
 
 def count_valuation(m: VirtualPolytope) -> int:
-    """Lattice-point count, extended to virtual polytopes.
+    """Lattice-point count, extended to virtual polytopes; kept on ``m``.
 
     Agrees with ``n_lattice_points`` of the plus part when the minus part
     is a point, and in general is the value at dilation -1 of the
     polynomial extension of t -> #(plus + t·minus).
     """
     if m._count is None:
-        m._count = sum(c * p.n_lattice_points() for c, p in val_decompose(m).terms)
+        m._count = sum(c * p.n_lattice_points() for c, p in _terms(m))
     return m._count
 
 
@@ -153,9 +167,11 @@ def volume_valuation(m: VirtualPolytope) -> int:
     """Normalized volume (n!·vol in the ambient lattice) of a virtual polytope.
 
     Lower-dimensional polytopes have normalized volume zero, so the value
-    depends only on the top-dimensional geometry.
+    depends only on the top-dimensional geometry.  It is kept on ``m``.
     """
-    return sum(c * p.normalized_volume() for c, p in val_decompose(m).terms)
+    if m._volume is None:
+        m._volume = sum(c * p.normalized_volume() for c, p in _terms(m))
+    return m._volume
 
 
 def _compositions(total: int, parts: int):
@@ -169,17 +185,16 @@ def _compositions(total: int, parts: int):
 
 
 def _scaled_sum(ms, coeffs) -> VirtualPolytope:
-    nonzero = [i for i, c in enumerate(coeffs) if c]
-    if len(nonzero) <= 1:
-        # c·mᵢ is a dilate that mᵢ keeps, and the origin is 0·m₀
-        i = nonzero[0] if nonzero else 0
-        return ms[i].dilate(coeffs[i])
-    n = ms[0].ambient
-    out = VirtualPolytope(_origin(n), _origin(n))
+    """Σ cᵢ·mᵢ, built from the dilates and sums that the inputs keep.
+
+    Equal inputs are merged first (m + m is ``m.dilate(2)``), so no object
+    is ever its own right summand, which would hold it in a reference cycle.
+    """
+    merged = {}
     for m, c in zip(ms, coeffs):
-        if c:
-            out = out + m.dilate(c)
-    return out
+        merged[m] = merged.get(m, 0) + c
+    parts = [m.dilate(c) for m, c in merged.items() if c]
+    return reduce(add, parts) if parts else ms[0].dilate(0)
 
 
 def _common_ambient(ms) -> int:
@@ -202,27 +217,21 @@ def hirzebruch_chi_p(ms, p: int) -> int:
 
     which is the coefficient of y^p in the generating series expansion of
     the count valuation applied to (y-1)^n · prod (1 - m_i)/(1 - y·m_i).
-    The admissible range is 0 <= p <= n - k.
+    The admissible range is 0 <= p <= n - k.  The combinations and their
+    counts are kept on the inputs, so the genera of one system share them.
     """
     k = len(ms)
     n = _common_ambient(ms)
     if p < 0 or p > n - k:
         raise GenusIndexOutOfRange(
             f"GenusIndexOutOfRange: p must lie in 0..{n - k}, got {p}")
-    counts = {}
-
-    def counted(exponents):
-        if exponents not in counts:
-            counts[exponents] = count_valuation(_scaled_sum(ms, exponents))
-        return counts[exponents]
-
     total = 0
     for j in range(min(n, p) + 1):
         for beta in _compositions(p - j, k):
             for gamma in product((0, 1), repeat=k):
                 exponents = tuple(b + g for b, g in zip(beta, gamma))
                 sign = (-1) ** (n - j + sum(gamma))
-                total += sign * comb(n, j) * counted(exponents)
+                total += sign * comb(n, j) * count_valuation(_scaled_sum(ms, exponents))
     return total
 
 
@@ -234,27 +243,16 @@ def mixed_volume_valuation(ms) -> int:
     volume, hence always an integer.  The volume is a homogeneous
     polynomial of degree n on virtual polytopes, so at n copies of one
     virtual polytope (equal ``plus`` and equal ``minus`` parts) its
-    polarization is its value: one volume, not 2^n − 1.
+    polarization is its value: one volume, not 2^n − 1.  Otherwise the
+    subset sums are the ones the inputs keep.
     """
     n = _common_ambient(ms)
     if len(ms) != n:
         raise ValueError(f"expected {n} arguments, got {len(ms)}")
     if len({(tuple(m.plus.vertices), tuple(m.minus.vertices)) for m in ms}) == 1:
         return volume_valuation(ms[0])
-    cache = {}
-
-    def vol(coeffs):
-        if coeffs not in cache:
-            cache[coeffs] = volume_valuation(_scaled_sum(ms, coeffs))
-        return cache[coeffs]
-
-    acc = 0
-    for r in range(1, n + 1):
-        for subset in combinations(range(n), r):
-            coeffs = [0] * n
-            for i in subset:
-                coeffs[i] += 1
-            acc += (-1) ** (n - r) * vol(tuple(coeffs))
+    acc = sum((-1) ** (n - sum(c)) * volume_valuation(_scaled_sum(ms, c))
+              for c in product((0, 1), repeat=n) if any(c))
     value = Fraction(acc, factorial(n))
     if value.denominator != 1:
         raise ArithmeticError("volume polarization did not produce an integer")

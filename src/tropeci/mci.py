@@ -99,17 +99,48 @@ class SupportMultiset:
         return f"SupportMultiset({len(self.points)} points in Z^{self.ambient})"
 
 
+def _check_rank_table(ground: list, table: dict) -> None:
+    """Check every matroid axiom on the whole table (``MAX_TABLE_GROUND``)."""
+    if len(ground) > MAX_TABLE_GROUND:
+        raise RankTableTooLarge(
+            f"rank tables are checked on at most {MAX_TABLE_GROUND} elements, "
+            f"got {len(ground)}; give the matroid by a column matrix instead")
+    if table.get(frozenset()) != 0:
+        raise ValueError("rank of the empty set must be 0")
+    subsets = [frozenset(s) for r in range(len(ground) + 1)
+               for s in combinations(ground, r)]
+    for s in subsets:
+        if s not in table:
+            raise ValueError(f"rank table misses {sorted(s)}")
+    for s in subsets:
+        for e in ground:
+            if e in s:
+                continue
+            step = table[s | {e}] - table[s]
+            if step not in (0, 1):
+                raise ValueError("rank must grow by 0 or 1")
+            for f in ground:
+                if f == e or f in s:
+                    continue
+                if table[s | {e}] + table[s | {f}] < table[s | {e, f}] + table[s]:
+                    raise ValueError("rank table is not submodular")
+
+
 class Matroid:
-    """Matroid given by a column matrix or an explicit rank table."""
+    """Matroid on ``ground`` given by its rank function.
 
-    __slots__ = ("ground", "_members", "_kind", "_columns", "_table", "_fn", "_cache")
+    ``rank_fn`` maps a frozenset of ground ids to its rank; ``from_matrix``
+    and ``from_rank_table`` build it from columns or a checked table.
+    """
 
-    def __init__(self, ground: Sequence, kind: str, columns=None, table=None, fn=None):
+    __slots__ = ("ground", "_members", "_rank_fn", "_cache")
+
+    def __init__(self, ground: Sequence, rank_fn):
         self.ground = tuple(ground)
         self._members = frozenset(self.ground)
         if len(self._members) != len(self.ground):
             raise ValueError("repeated ground ids")
-        self._kind, self._columns, self._table, self._fn = kind, columns, table, fn
+        self._rank_fn = rank_fn
         self._cache = {}
 
     @classmethod
@@ -117,42 +148,14 @@ class Matroid:
         cols = {i: tuple(c) for i, c in columns.items()}
         if len({len(c) for c in cols.values()}) > 1:
             raise ValueError("columns of mixed height")
-        return cls(sorted(cols), "matrix", columns=cols)
+        return cls(sorted(cols), lambda s: mat_rank([cols[i] for i in s]) if s else 0)
 
     @classmethod
     def from_rank_table(cls, ground: Sequence, table: dict) -> "Matroid":
         ground = sorted(ground)
         tab = {frozenset(s): r for s, r in table.items()}
-        m = cls(ground, "table", table=tab)
-        m._validate_table()
-        return m
-
-    def _validate_table(self):
-        """Check every matroid axiom on the whole table (``MAX_TABLE_GROUND``)."""
-        tab, ground = self._table, list(self.ground)
-        if len(ground) > MAX_TABLE_GROUND:
-            raise RankTableTooLarge(
-                f"rank tables are checked on at most {MAX_TABLE_GROUND} elements, "
-                f"got {len(ground)}; give the matroid by a column matrix instead")
-        if frozenset() not in tab or tab[frozenset()] != 0:
-            raise ValueError("rank of the empty set must be 0")
-        subsets = [frozenset(s) for r in range(len(ground) + 1)
-                   for s in combinations(ground, r)]
-        for s in subsets:
-            if s not in tab:
-                raise ValueError(f"rank table misses {sorted(s)}")
-        for s in subsets:
-            for e in ground:
-                if e in s:
-                    continue
-                step = tab[s | {e}] - tab[s]
-                if step not in (0, 1):
-                    raise ValueError("rank must grow by 0 or 1")
-                for f in ground:
-                    if f == e or f in s:
-                        continue
-                    if tab[s | {e}] + tab[s | {f}] < tab[s | {e, f}] + tab[s]:
-                        raise ValueError("rank table is not submodular")
+        _check_rank_table(ground, tab)
+        return cls(ground, tab.__getitem__)
 
     def rank(self, subset: Iterable) -> int:
         """Rank of a set of ground ids; UnknownElement for any other id.
@@ -165,25 +168,16 @@ class Matroid:
         unknown = key - self._members
         if unknown:
             raise UnknownElement(next(iter(unknown)))
-        if self._kind == "matrix":
-            r = mat_rank([self._columns[i] for i in key]) if key else 0
-        elif self._kind == "table":
-            if key not in self._table:
-                raise ValueError(f"rank table misses {sorted(key)}")
-            r = self._table[key]
-        else:
-            r = self._fn(key)
-        self._cache[key] = r
+        r = self._cache[key] = self._rank_fn(key)
         return r
 
     def truncate(self, k: int) -> "Matroid":
         if k < 0:
             raise ValueError("truncation rank must be nonnegative")
-        return Matroid(self.ground, "derived",
-                       fn=lambda s, self=self, k=k: min(self.rank(s), k))
+        return Matroid(self.ground, lambda s: min(self.rank(s), k))
 
     def __repr__(self):
-        return f"Matroid({len(self.ground)} elements, kind={self._kind})"
+        return f"Matroid({len(self.ground)} elements)"
 
 
 def chirotope(columns: dict, basis: Sequence) -> int:

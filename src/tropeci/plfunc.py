@@ -282,8 +282,6 @@ def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
             else:
                 covectors[j] = l_new
                 queue.append(j)
-    if len(covectors) != len(chambers):
-        raise NotADivisor("support of the cycle disconnects the space")
     verts = sorted(set(covectors.values()))
     for i, p in enumerate(points):
         best = max(dot(v, p) for v in verts)

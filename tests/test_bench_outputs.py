@@ -2,10 +2,10 @@
 
 ``bench/workloads.py`` is loaded from its file and only read: each
 workload's operations run on its inputs of one seed, and the SHA-256 of
-their outputs' reprs, one per line, must be the digest recorded here.  Seed
-501 is pinned for every workload, and seed 911 for the two chain workloads.  A change
-that speeds a workload up must leave every output as it was; a change that
-means to alter an output records the new digest with the reason.
+their outputs' reprs, one per line, must be the digest recorded here.  Seeds
+501 and 911 are both pinned for every workload.  A change that speeds a
+workload up must leave every output as it was; a change that means to alter
+an output records the new digest with the reason.
 """
 
 import hashlib
@@ -25,6 +25,7 @@ DIGESTS = {
 DIGESTS_911 = {
     "bkk_chain": "75297946c34fae62fce9fe87d2817b3f1e68a5e5d6a787da3ca54d799f52f46b",
     "eliminant_verified": "fa3b5883dd9a59aedb72639bfd4ef1bd2ac5e24b6bd3e93b98e74dcc532982b8",
+    "euler_genera": "1e8dd0dcf930a74727d6d8599b4aea4165806edeae5f659bd7c1d2c7c8b07670",
 }
 
 

@@ -331,8 +331,8 @@ def test_one_region_walk_per_direction_and_none_pulled_back(monkeypatch):
 
 def shifted_value(mci, n, v, c):
     """BKK(shifted(v, c)) − c·BKK(shifted(0, 1)), on the derived matroid."""
-    matroid = Matroid([(i, s) for i in mci.support.ids() for s in (0, 1)], "derived",
-                      fn=lambda ids: mci.matroid.rank({i for i, _ in ids}))
+    matroid = Matroid([(i, s) for i in mci.support.ids() for s in (0, 1)],
+                      lambda ids: mci.matroid.rank({i for i, _ in ids}))
 
     def number(v, c):
         return bkk_number(tci_from_mci(elimination._shifted_mci(mci, matroid, n, v, c)))

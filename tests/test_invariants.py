@@ -136,6 +136,21 @@ def test_count_is_polynomial_in_dilation():
         assert all(v == 0 for v in values), values
 
 
+@settings(max_examples=40)
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=6))
+def test_count_of_a_reflected_polytope_is_the_signed_interior_count(points):
+    """Ehrhart–Macdonald reciprocity: (origin, P) counts (−1)^dim P · #relint P.
+
+    The interior points are counted apart from the valuation: the lattice
+    points of P at which every facet inequality is strict.
+    """
+    poly = LatticePolytope(points)
+    interior = [x for x in poly.lattice_points()
+                if all(sum(ai * xi for ai, xi in zip(a, x)) + b > 0 for a, b in poly.facets())]
+    reflected = VirtualPolytope(LatticePolytope([(0, 0, 0)]), poly)
+    assert count_valuation(reflected) == (-1) ** poly.dim * len(interior)
+
+
 def test_mismatched_parts_are_rejected():
     with pytest.raises(ValueError):
         VirtualPolytope(LatticePolytope([(0,)]), LatticePolytope([(0, 0)]))
@@ -166,6 +181,8 @@ def test_mixed_volume_of_repeated_polytope_is_its_volume():
 
 PLUS = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 MINUS = [(0, 0, 0), (1, 1, 0)]
+SIMPLEX_4 = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+CROSS_4 = [(0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)]
 
 
 @pytest.mark.parametrize("kind", ["honest", "virtual", "equal copies"])
@@ -275,6 +292,59 @@ def test_the_genera_of_one_object_count_each_dilate_once(monkeypatch):
     assert [hirzebruch_chi_p([m], p) for p in range(3)] == expected
     # χ₀, χ₁ and χ₂ in ℤ³ need the dilates 0·m, …, 3·m, each counted once
     assert len(counted) == len(set(counted)) == 4
+    # χ₀, χ₁ and χ₂ of two inputs in ℤ⁴ need 13 combinations: 0, the
+    # dilates 1…3 of each input and six mixed sums, each decomposed once
+    counted.clear()
+    pair = [honest(SIMPLEX_4), honest(CROSS_4)]
+    assert [hirzebruch_chi_p(pair, p) for p in range(3)] == [12, -3, 1]
+    assert len(counted) == len(set(counted)) == 13
+
+
+def test_a_virtual_polytope_keeps_what_is_derived_from_it(monkeypatch):
+    m = VirtualPolytope(LatticePolytope(PLUS), LatticePolytope(MINUS))
+    q = honest([(0, 0, 0), (1, 0, 0)])
+    assert m.dilate(1) is m
+    assert m.dilate(2) is m.dilate(2)
+    assert m + q is m + q is q + m
+    assert val_decompose(m) is val_decompose(m)
+    assert isinstance(val_decompose(m).terms, tuple)
+    # the valuations are read off the terms once
+    scans = []
+    for name in ("n_lattice_points", "normalized_volume"):
+        monkeypatch.setattr(LatticePolytope, name, lambda p, f=getattr(LatticePolytope, name):
+                            scans.append(f) or f(p))
+    values = (count_valuation(m), volume_valuation(m))
+    done = len(scans)
+    assert (count_valuation(m), volume_valuation(m)) == values
+    assert len(scans) == done > 0
+
+
+class TrackedPolytope(VirtualPolytope):
+    """A virtual polytope that can be weakly referenced."""
+
+
+def test_genera_leave_no_cycle_that_holds_the_inputs():
+    # with the cyclic collector off, the inputs are freed as soon as the
+    # caller drops them: m + m would key m's own memo, so it is m.dilate(2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        def virtual():
+            return TrackedPolytope(LatticePolytope(PLUS), LatticePolytope(MINUS))
+
+        # two equal objects take the plain sums, which the merged m + m must match
+        expected = [hirzebruch_chi_p([virtual(), virtual()], p) for p in range(2)]
+        m = virtual()
+        pair = [TrackedPolytope(LatticePolytope(p)) for p in (SIMPLEX_4, CROSS_4)]
+        refs = [weakref.ref(x) for x in [m] + pair]
+        assert [hirzebruch_chi_p([m, m], p) for p in range(2)] == expected
+        assert [hirzebruch_chi_p(pair, p) for p in range(3)] == [12, -3, 1]
+        assert [hirzebruch_chi_p(pair[::-1], p) for p in range(3)] == [12, -3, 1]
+        del m, pair
+        assert all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- Euler characteristics ------------------------------------------------------
