@@ -4,14 +4,14 @@ A cone is stored as extreme rays plus a lineality basis (V-side) and as
 irredundant inequalities plus equations (H-side); whichever side was not
 supplied is computed lazily by the double description method.  All data are
 integer vectors; every conversion is exact.  Rays of a cone with lineality
-are representatives modulo it; :meth:`Cone.key` reduces them, so equal cones
-have equal keys however they were built.
+are representatives modulo it, and one rule reduces them
+(:func:`_reduce_rays`): every converted cone and every :meth:`Cone.key`, so
+equal cones have equal keys however they were built.
 
 Every cut of a cone by a halfspace goes through one step, :func:`_sides`,
 which carries tightness bitmasks along.  It serves the conversion
-(:func:`dual_description`, which always starts from the whole space, in
-coordinates of a lattice complement of the lineality), the chambers of a
-central arrangement in a linear span, cut in place in ambient coordinates
+(:func:`dual_description`, which cuts the whole space in place), the
+chambers of a central arrangement in a linear span, also cut in place
 (:func:`_span_chambers`; :func:`chamber_complex` for the whole space), and
 :func:`_cut_cone`, which cuts a known cone, pointed or not, through its
 rays and lineality; threshold regions, refinement pieces and overlaps are
@@ -30,10 +30,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     canonical_span_rows,
-    complement_basis,
     dot,
     is_zero,
-    kernel_basis,
     primitive,
     rank,
     rational_primitive,
@@ -61,26 +59,37 @@ def _dedupe(vectors: Iterable[tuple]) -> list:
 def dual_description(ineqs: Sequence, eqs: Sequence, ambient: int):
     """Extreme rays and lineality of {x : a·x ≥ 0 ∀a ∈ ineqs, e·x = 0 ∀e ∈ eqs}.
 
-    The lineality is the kernel of all the constraints.  The pointed part is
-    converted in coordinates of a lattice complement of the lineality: the
-    whole of that space is cut by one constraint after another with
-    :func:`_sides`, each equation as two opposite halfspaces, and the rays
-    are mapped back (a dot product with each column of the complement basis)
-    and made primitive.
+    The whole space, the standard basis as its lineality, is cut in place by
+    one constraint after another with :func:`_sides`, each equation as two
+    opposite halfspaces.  The lineality is the primitive basis that the cut
+    leaves, not saturated; the rays are sorted and reduced modulo it by the
+    rule of :meth:`Cone.key` (:func:`_reduce_rays`).
     """
     ineqs = _dedupe(tuple(a) for a in ineqs if not is_zero(a))
     eqs = [tuple(e) for e in eqs if not is_zero(e)]
-    lin = kernel_basis(ineqs + eqs, ambient)
-    if len(lin) == ambient:
-        return [], lin
-    w = complement_basis(lin) if lin else _standard_basis(ambient)
-    rows = [tuple(dot(a, wi) for wi in w) for a in ineqs + eqs]
-    rays, masks, cut_lin = [], [], _standard_basis(len(w))
-    for step, a in enumerate(rows + [vneg(r) for r in rows[len(ineqs):]]):
-        rays, masks, cut_lin, _ = _sides(rays, masks, cut_lin, a, 1 << step)[0]
-    cols = list(zip(*w))
-    out = [primitive([dot(r, col) for col in cols]) for r in rays]
-    return sorted(_dedupe(out)), lin
+    rays, masks, lin = [], [], _standard_basis(ambient)
+    for step, a in enumerate(ineqs + eqs + [vneg(e) for e in eqs]):
+        rays, masks, lin, _ = _sides(rays, masks, lin, a, 1 << step)[0]
+    return list(_reduce_rays(rays, lin)[0]), lin
+
+
+def _reduce_rays(rays: Sequence, lin: Sequence) -> tuple:
+    """(rays, span): the sorted rays reduced modulo the lineality, whose
+    primitive reduced echelon basis is ``span``.
+
+    Each ray becomes a positive multiple of it plus a lineality vector that
+    is zero in every pivot column of ``span``, made primitive, so any
+    representatives of the rays give the same tuple.
+    """
+    span = canonical_span_rows(lin) if lin else ()
+    pivots = [(next(j for j, x in enumerate(row) if x), row) for row in span]
+    out = set()
+    for r in rays:
+        for pc, row in pivots:
+            if r[pc]:
+                r = vsub(vscale(row[pc], r), vscale(r[pc], row))
+        out.add(primitive(r))
+    return tuple(sorted(out)), span
 
 
 def _standard_basis(n: int) -> list:
@@ -170,6 +179,10 @@ class Cone:
     ``_trusted``, ``rays`` and ``lineality`` are taken as the exact V-side,
     and ``ineqs`` and ``eqs``, when given too, are kept as raw constraints of
     the same cone for the cheap tests.
+
+    Derived rays and inequalities are canonical (:func:`dual_description`);
+    derived lineality and equation bases are not saturated, and
+    :meth:`span_rows` is the lattice basis of the span.
     """
 
     __slots__ = ("ambient", "_rays", "_lin", "_ineqs", "_eqs",
@@ -250,21 +263,11 @@ class Cone:
     def key(self):
         """Canonical key: equal exactly for equal cones, however given.
 
-        It pairs the primitive reduced echelon basis of the lineality with
-        the sorted extreme rays, each reduced modulo that basis (a positive
-        multiple plus a lineality vector, zero in every pivot column, then
-        made primitive), so any representatives of the rays give one key.
+        The sorted extreme rays reduced modulo the lineality, and the
+        primitive reduced echelon basis of the lineality (:func:`_reduce_rays`).
         """
         if self._key is None:
-            span = canonical_span_rows(self.lineality)
-            rays = []
-            for r in self.rays:
-                for row in span:
-                    pc = next(j for j, x in enumerate(row) if x)
-                    if r[pc]:
-                        r = vsub(vscale(row[pc], r), vscale(r[pc], row))
-                rays.append(primitive(r))
-            self._key = (tuple(sorted(set(rays))), span)
+            self._key = _reduce_rays(self.rays, self.lineality)
         return self._key
 
     def _constraints(self) -> tuple:

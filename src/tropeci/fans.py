@@ -272,33 +272,33 @@ def pushforward(fan: WeightedFan, rows: Sequence) -> WeightedFan:
     return WeightedFan(m, _refine_to_fan(images, m), dim=fan.dim)
 
 
-def _cross_span_normals(key_i, key_j, kernel_j) -> list:
-    """Span j's normals ``kernel_j`` if span j meets span i in a hyperplane of it."""
+def _cross_span_normals(key_i, key_j, eqs_j) -> list:
+    """Span j's equations ``eqs_j`` if span j meets span i in a hyperplane of it."""
     if rank(key_i + key_j) != len(key_j) + 1:
         return []
-    return [sign_normalized(n) for n in kernel_j]
+    return [sign_normalized(n) for n in eqs_j]
 
 
 def _refine_to_fan(images: Sequence, ambient: int) -> list:
     """Refine overlapping weighted cones into face-to-face cells per span.
 
     Each span is chambered in place, in ambient coordinates, by its members'
-    facet normals and the normals of every span that meets it in a
-    hyperplane; a chamber weighs the members containing its relative
-    interior.  Returns (cell, total weight) for nonzero totals only.
+    facet normals and the equations (its first member's) of every span that
+    meets it in a hyperplane; a chamber weighs the members containing its
+    relative interior.  Returns (cell, total weight) for nonzero totals only.
     """
     groups = {}
     for cone, w in images:
         key = canonical_span_rows(cone.rays + cone.lineality)
         groups.setdefault(key, []).append((cone, w))
-    kernels = {key: kernel_basis(key, ambient) for key in groups}
+    span_eqs = {key: members[0][0].eqs for key, members in groups.items()}
     out = []
     for key, members in groups.items():
         normals = {sign_normalized(a) for c, _ in members for a in c.ineqs}
         for other in groups:
             if other != key:
-                normals.update(_cross_span_normals(key, other, kernels[other]))
-        for ch in _span_chambers(sorted(normals), key, kernels[key], ambient):
+                normals.update(_cross_span_normals(key, other, span_eqs[other]))
+        for ch in _span_chambers(sorted(normals), key, span_eqs[key], ambient):
             p = ch.relint_point()
             total = sum(w for c, w in members if c.contains(p))
             if total:

@@ -49,7 +49,7 @@ class VirtualPolytope:
             raise ValueError("plus and minus parts live in different lattices")
         self.plus = plus
         self.minus = minus
-        self._derived = {}  # dilates by factor, sums by right summand
+        self._derived = {}  # dilates by factor, sums by the right summand's parts
         self._decomposition = None
         self._count = None
         self._volume = None
@@ -66,13 +66,14 @@ class VirtualPolytope:
         return self._derived[t]
 
     def __add__(self, other: "VirtualPolytope") -> "VirtualPolytope":
-        # keyed by identity (no __eq__); b + a reads a + b: no two objects key each other
-        if self in other._derived:
-            return other._derived[self]
-        if other not in self._derived:
-            self._derived[other] = VirtualPolytope(self.plus.minkowski_sum(other.plus),
-                                                   self.minus.minkowski_sum(other.minus))
-        return self._derived[other]
+        # keyed by the parts, so no memo leads back to a summand; b + a reads a + b
+        mine, theirs = (self.plus, self.minus), (other.plus, other.minus)
+        if mine in other._derived:
+            return other._derived[mine]
+        if theirs not in self._derived:
+            self._derived[theirs] = VirtualPolytope(self.plus.minkowski_sum(other.plus),
+                                                    self.minus.minkowski_sum(other.minus))
+        return self._derived[theirs]
 
     def translate(self, r: LatticePolytope) -> "VirtualPolytope":
         """The equivalent representation with ``r`` added to both parts."""

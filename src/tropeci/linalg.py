@@ -13,7 +13,7 @@ Gauss–Jordan elimination (Bareiss's integer-preserving scheme).  :func:`rank`,
 build a ``Fraction`` at most once per output entry.  For lattices,
 :func:`smith_with_basis` diagonalizes an integer matrix by unimodular
 operations while tracking the inverse column transform; that single routine
-yields saturations, lattice complements and sublattice indices.
+yields saturations and sublattice indices.
 :func:`int_vector` reads outside coordinates as integers, exactly.
 
 The per-entry vector kernels run every entry through C-level builtins, with
@@ -399,23 +399,13 @@ def smith_with_basis(rows: Mat):
     return diag, [tuple(r) for r in w]
 
 
-def _span_smith(rows: Mat):
-    try:
-        return smith_with_basis(rows)
-    except ValueError:  # rational rows: scale them, only their ℚ-span matters
-        return smith_with_basis(_int_rows(rows)[0])
-
-
 def saturation_basis(rows: Mat) -> list:
     """ℤ-basis of (ℚ-span of rows) ∩ ℤ^n."""
-    diag, basis = _span_smith(rows)
+    try:
+        diag, basis = smith_with_basis(rows)
+    except ValueError:  # rational rows: scale them, only their ℚ-span matters
+        diag, basis = smith_with_basis(_int_rows(rows)[0])
     return basis[: len(diag)]
-
-
-def complement_basis(rows: Mat) -> list:
-    """ℤ-basis complementary to the saturation of the row lattice."""
-    diag, basis = _span_smith(rows)
-    return basis[len(diag):]
 
 
 def sublattice_index(rows: Mat) -> int:

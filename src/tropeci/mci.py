@@ -200,10 +200,10 @@ class MCI:
     """Matroid data over a support multiset with a target codimension.
 
     ``_after`` keeps the ids eligible after each greedy prefix read so far
-    (:func:`_eligible`).
+    (:func:`_eligible`), ``_regions`` the regions of length one (:func:`_length_one`).
     """
 
-    __slots__ = ("support", "matroid", "codim", "loops", "_after")
+    __slots__ = ("support", "matroid", "codim", "loops", "_after", "_regions")
 
     def __init__(self, support: SupportMultiset, matroid: Matroid, codim: int):
         if set(support.ids()) != set(matroid.ground):
@@ -220,6 +220,7 @@ class MCI:
                 f"matroid rank {matroid.rank(self.support.ids())} < codim {codim}")
         self.codim = codim
         self._after = {}
+        self._regions = None
 
     @property
     def ambient(self) -> int:
@@ -263,7 +264,7 @@ class TCI:
         lead = _threshold_lead(base, functions)
         for k, m in enumerate(functions, 1):
             if k <= lead and (k == 1 or self.fans[-1].dim >= 2):
-                walls = _edge_walls(m.mci, m._level(1)) if k == 1 else \
+                walls = _edge_walls(m.mci) if k == 1 else \
                     _prefix_walls(m.mci, walls)
                 nxt = WeightedFan(base.ambient, [(c, w) for c, w, _ in walls],
                                   dim=base.dim - k)
@@ -336,6 +337,13 @@ def _eligible(mci: MCI, prefix: tuple) -> list:
     return mci._after[prefix]
 
 
+def _length_one(mci: MCI) -> dict:
+    """The regions of length one, the children of the full space, cut once."""
+    if mci._regions is None:
+        mci._regions = dict(_children(mci, (), full_space(mci.ambient)))
+    return mci._regions
+
+
 def _children(mci: MCI, prefix: tuple, region) -> Iterator:
     """(prefix + (a,), piece) for each a whose piece keeps the region's dimension.
 
@@ -369,27 +377,26 @@ class ThresholdFunction(PLFunction):
 
     ``value(x)`` is :func:`tci_threshold`, a greedy selection that scans no
     cell.  The cells are the selection regions of the length-k prefixes,
-    each with the covector of its k-th point; ``regions`` are the regions of
-    length one, which the functions of one chain share.  The cells are tiled
-    on first use by cutting on level by level from them (:func:`_children`).
+    each with the covector of its k-th point.  They are tiled on first use,
+    cut level by level (:func:`_children`) from the MCI's regions of length one.
     :class:`TCI` folds the functions of a chain on greedy prefixes and by
     values, and never asks for their cells.
     """
 
-    __slots__ = ("mci", "k", "_regions", "_cells")
+    __slots__ = ("mci", "k", "_cells")
 
-    def __init__(self, mci: MCI, k: int, regions: dict):
+    def __init__(self, mci: MCI, k: int):
         if k < 1:
             raise ValueError(f"threshold index {k} < 1")
         self.ambient = mci.ambient
-        self.mci, self.k, self._regions, self._cells = mci, k, regions, None
+        self.mci, self.k, self._cells = mci, k, None
 
     def value(self, x):
         return tci_threshold(self.mci.matroid, self.mci.support, self.k, x)
 
     def _level(self, k: int) -> dict:
         """The regions of the length-k prefixes, cut on from the regions of length one."""
-        level = self._regions
+        level = _length_one(self.mci)
         for _ in range(1, k):
             level = dict(child for p, r in level.items()
                          for child in _children(self.mci, p, r))
@@ -417,8 +424,8 @@ def tci_from_mci(mci: MCI) -> TCI:
     The k-th threshold function is a :class:`ThresholdFunction`: on the
     region of a length-k prefix the k-th selected point is constant, so the
     threshold is linear there, and the regions of one length tile covector
-    space.  All functions share the regions of length one, the children of
-    the full space.  :class:`TCI` folds m_1 on them, every later function
+    space.  All functions share the MCI's regions of length one, the children
+    of the full space.  :class:`TCI` folds m_1 on them, every later function
     on the greedy prefixes that the cones of the previous fan keep, and on
     a full-codimension MCI the last function onto the curve T_{n−1}, where
     ``corner_locus`` reads it by its values.  So no region of length two or
@@ -426,9 +433,8 @@ def tci_from_mci(mci: MCI) -> TCI:
     for.
     """
     n = mci.ambient
-    regions = dict(_children(mci, (), full_space(n)))
     tci = TCI(WeightedFan(n, [(full_space(n), 1)]),
-              [ThresholdFunction(mci, k, regions) for k in range(1, mci.codim + 1)])
+              [ThresholdFunction(mci, k) for k in range(1, mci.codim + 1)])
     tci.mci = mci
     return tci
 
@@ -450,7 +456,7 @@ def _threshold_lead(base: WeightedFan, functions: Sequence) -> int:
     return lead
 
 
-def _edge_walls(mci: MCI, regions: dict) -> list:
+def _edge_walls(mci: MCI) -> list:
     """T_1 = δ_{m_1}·ℝⁿ as (wall, weight, prefix) triples: the edge fan of conv(A).
 
     m_1 is the support function of conv(A), and the regions of length one
@@ -458,11 +464,10 @@ def _edge_walls(mci: MCI, regions: dict) -> list:
     when their vertices v, w span an edge; the facet is the normal cone of
     that edge, and its weight is the lattice length gcd(v − w)
     (Maclagan–Sturmfels, *Introduction to Tropical Geometry*, §3.1).
-    ``regions`` are the regions of length one; ids that share a point share
-    a region, which is read once.  Each wall keeps the prefix (v,) of one of
-    its sides, for :func:`_prefix_walls`.
+    Ids that share a point share a region, which is read once.  Each wall
+    keeps the prefix (v,) of one of its sides, for :func:`_prefix_walls`.
     """
-    walls, points = {}, set()
+    walls, points, regions = {}, set(), _length_one(mci)
     for prefix in sorted(regions):
         v = mci.support.point(prefix[0])
         if v in points:

@@ -23,8 +23,6 @@ from .cones import (
 from .fans import NotBalanced, NotContinuous, WeightedFan, _wall_step
 from .linalg import (
     dot,
-    kernel_basis,
-    primitive,
     sign_normalized,
     vadd,
     vneg,
@@ -195,9 +193,10 @@ def _origin(ambient: int) -> Cone:
 def _curve_corner_weight(m: PLFunction, curve: WeightedFan):
     """Origin weight of δ_m·C on a one-dimensional cycle C: Σ w·m(u).
 
-    u runs over each cone's primitive rays and ± its primitive lineality
-    vector, and Σ w·u must vanish (NotBalanced otherwise): then the
-    reference covector ℓ_ρ of the wall step drops out of Σ w·(ℓ_u − ℓ_ρ)(u).
+    u runs over each cone's primitive rays and ± the lattice basis of a
+    line (its ``span_rows``), and Σ w·u must vanish (NotBalanced otherwise):
+    then the reference covector ℓ_ρ of the wall step drops out of
+    Σ w·(ℓ_u − ℓ_ρ)(u).
     """
     total = (0,) * curve.ambient
     for cone, w in curve.cones:
@@ -207,7 +206,7 @@ def _curve_corner_weight(m: PLFunction, curve: WeightedFan):
         raise NotBalanced("weighted rays of the curve do not sum to zero")
     weight = 0
     for cone, w in curve.cones:
-        lines = [primitive(v) for v in cone.lineality]
+        lines = cone.span_rows() if cone.lineality else []
         weight += w * sum(m.value(u) for u in cone.rays + lines + [vneg(v) for v in lines])
     return weight
 
@@ -225,22 +224,13 @@ def iterated_corner_locus(ms: Sequence[PLFunction], t_fan: WeightedFan) -> Weigh
     return out
 
 
-def _wall_hyperplanes(divisor: WeightedFan) -> list:
-    """Span normals of the divisor's cones plus facet-extension hyperplanes.
+def _hyperplanes(cones: Iterable[Cone]) -> set:
+    """Sign-normalized normals of the cones' own inequalities and equations.
 
-    The extensions guarantee the arrangement refines the divisor even when a
-    cone's affine span continues past its boundary into uncut territory.
+    Each cone is a union of faces of their arrangement, so its chambers
+    refine every cone, even where a cone's span continues past its boundary.
     """
-    n = divisor.ambient
-    normals = set()
-    for cone, _ in divisor.cones:
-        span = [list(r) for r in cone.span_rows()]
-        for h in kernel_basis(span, n):
-            normals.add(sign_normalized(h))
-        for f in cone.facets():
-            for h in kernel_basis([list(r) for r in f.span_rows()], n):
-                normals.add(sign_normalized(h))
-    return sorted(normals)
+    return {sign_normalized(a) for cone in cones for a in [*cone.ineqs, *cone.eqs]}
 
 
 def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
@@ -257,7 +247,7 @@ def reconstruct_polytope(divisor: WeightedFan) -> LatticePolytope:
     for _, w in divisor.cones:
         if isinstance(w, Fraction) and w.denominator != 1:
             raise NotADivisor("weights must be integers")
-    normals = _wall_hyperplanes(divisor)
+    normals = sorted(_hyperplanes(c for c, _ in divisor.cones))
     chambers = chamber_complex(normals, n)
     points = [ch.relint_point() for ch in chambers]
     sigs = [tuple(1 if dot(h, p) > 0 else -1 for h in normals) for p in points]

@@ -102,7 +102,8 @@ class LatticePolytope:
         """Irredundant facet inequalities (a, b), meaning a·x + b ≥ 0 on P.
 
         The cone's rows (a, b) are primitive, and b = −a·v at a vertex v,
-        so a is already a primitive integer normal.
+        so a is already a primitive integer normal.  Modulo the equations,
+        each row is the representative that ``Cone.key`` would pick for a ray.
         """
         if self._facets is None:
             # a zero a is the far hyperplane of the homogenization
@@ -111,7 +112,8 @@ class LatticePolytope:
         return self._facets
 
     def affine_eqs(self) -> list:
-        """Pairs (e, c) with e·x + c = 0 on P (empty if P is full-dimensional)."""
+        """Primitive pairs (e, c), e·x + c = 0 on P, that cut out its affine
+        hull (none if P is full-dimensional); not a lattice basis of them."""
         return [(row[:-1], row[-1]) for row in self._cone.eqs]
 
     def contains(self, x) -> bool:

@@ -25,10 +25,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, _pull_triangulate, chamber_complex, common_refinement
+from .cones import Cone, _pull_triangulate, _standard_basis, chamber_complex, common_refinement
 from .fans import NotContinuous, WeightedFan, _wall_step
-from .linalg import dot, inverse_rows, sign_normalized, sublattice_index
-from .plfunc import PLFunction, _agree_on_overlaps
+from .linalg import dot, inverse_rows, sublattice_index
+from .plfunc import PLFunction, _agree_on_overlaps, _hyperplanes
 
 
 class Poly:
@@ -245,10 +245,7 @@ def simplicial_refinement(cones: Sequence[Cone], ambient: int) -> list:
     a union of faces of the arrangement, so lower-dimensional cones are
     refined too.  Returns full-dimensional simplices as sorted ray tuples.
     """
-    normals = {tuple(1 if j == i else 0 for j in range(ambient))
-               for i in range(ambient)}
-    for cone in cones:
-        normals.update(sign_normalized(a) for a in [*cone.ineqs, *cone.eqs])
+    normals = _hyperplanes(cones) | set(_standard_basis(ambient))
     return list(triangulate_complete_fan(chamber_complex(sorted(normals), ambient), ambient))
 
 

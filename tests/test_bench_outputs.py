@@ -1,9 +1,9 @@
-"""The benchmark's operation outputs on seeds 501 and 911, pinned by digest.
+"""The benchmark's operation outputs on seeds 501, 502 and 911, pinned by digest.
 
 ``bench/workloads.py`` is loaded from its file and only read: each
 workload's operations run on its inputs of one seed, and the SHA-256 of
 their outputs' reprs, one per line, must be the digest recorded here.  Seeds
-501 and 911 are both pinned for every workload.  A change that speeds a
+501, 502 and 911 are all pinned for every workload.  A change that speeds a
 workload up must leave every output as it was; a change that means to alter
 an output records the new digest with the reason.
 """
@@ -20,6 +20,12 @@ DIGESTS = {
     "bkk_chain": "aba17b661477d0df70c38141af7f3ba5be715106112da34a3a35d3005aded02a",
     "eliminant_verified": "73dd0ae6fcade7c8e140d3e1218f2d2427af3d6f6c355f7b10ab72eef30989b2",
     "euler_genera": "5ad722181f604ab71cc6ea359bc332e796ac381e74884611f025746a74c82f5c",
+}
+
+DIGESTS_502 = {
+    "bkk_chain": "f6810d3bdc69f98283d460d986e40a28d7c1a8fa537c35acad7031a164f439cc",
+    "eliminant_verified": "d31f7cb46a8349089413deac07b42b568342f6e3f0727df2bf401556fa95f34a",
+    "euler_genera": "64dc196a09ce4af3e4fe475bd355e7a981b66565e25f3a97bbbde9b741151946",
 }
 
 DIGESTS_911 = {
@@ -47,6 +53,11 @@ def _digest(workload: str, seed: int) -> str:
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
 def test_every_output_of_seed_501_hashes_as_pinned(workload):
     assert _digest(workload, 501) == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS_502))
+def test_every_output_of_seed_502_hashes_as_pinned(workload):
+    assert _digest(workload, 502) == DIGESTS_502[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS_911))

@@ -220,6 +220,41 @@ def test_conversion_matches_brute_force_extreme_rays(case):
     assert dual_description(ineqs, eqs, n) == (extreme_rays(ineqs, eqs, n), [])
 
 
+@st.composite
+def generated_cones(draw):
+    """Rays and lineality in ℤ²–ℤ⁴, all in the span of up to n drawn vectors,
+    so the cone may be lower dimensional; two rays' sum and a ray's double
+    may be added as redundant generators."""
+    n = draw(st.integers(2, 4))
+    span = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=n))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span))
+
+    def in_span():
+        return tuple(map(sum, zip(*(vscale(c, b) for c, b in zip(draw(coeffs), span)))))
+
+    rays = [in_span() for _ in range(draw(st.integers(0, 5)))]
+    lineality = [in_span() for _ in range(draw(st.integers(0, 2)))]
+    if len(rays) >= 2 and draw(st.booleans()):
+        rays.append(vadd(rays[0], rays[1]))
+    if rays and draw(st.booleans()):
+        rays.append(vscale(2, rays[0]))
+    return n, rays, lineality
+
+
+@settings(max_examples=40)
+@given(generated_cones())
+def test_conversions_with_lineality_are_reduced_and_cut_alike(case):
+    n, rays, lineality = case
+    cone = Cone(n, rays=rays, lineality=lineality)
+    for ineqs, eqs in ((rays, lineality), (cone.ineqs, cone.eqs)):
+        out, lin = dual_description(ineqs, eqs, n)
+        # the rays are already the representatives that Cone.key picks
+        assert Cone(n, rays=out, lineality=lin, _trusted=True).key()[0] == tuple(out)
+        assert canonical_span_rows(lin) == \
+            canonical_span_rows(kernel_basis([a for a in ineqs + eqs if any(a)], n))
+    assert _cut_cone(full_space(n), cone.ineqs, cone.eqs, 0).key() == cone.key()
+
+
 def test_overlaps_skips_pairs_meeting_only_at_the_origin():
     q1 = Cone(2, rays=[(1, 0), (0, 1)])
     q2 = Cone(2, rays=[(0, 1), (-1, 0)])

@@ -325,7 +325,7 @@ class TrackedPolytope(VirtualPolytope):
 
 def test_genera_leave_no_cycle_that_holds_the_inputs():
     # with the cyclic collector off, the inputs are freed as soon as the
-    # caller drops them: m + m would key m's own memo, so it is m.dilate(2)
+    # caller drops them, whichever way round they were summed
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -342,6 +342,14 @@ def test_genera_leave_no_cycle_that_holds_the_inputs():
         assert [hirzebruch_chi_p(pair[::-1], p) for p in range(3)] == [12, -3, 1]
         del m, pair
         assert all(r() is None for r in refs)
+        # the memo of a direct sum leads back to no summand, in any order
+        for add, k in ((lambda m: m + m, 2), (lambda m: m.dilate(2) + m, 3),
+                       (lambda m: m + m.dilate(2), 3)):
+            m = virtual()
+            ref = weakref.ref(m)
+            assert add(m).equivalent(m.dilate(k))
+            del m
+            assert ref() is None
     finally:
         if enabled:
             gc.enable()

@@ -222,7 +222,7 @@ def test_a_threshold_index_below_one_is_refused():
         with pytest.raises(ValueError, match="< 1"):
             tci_threshold(mci.matroid, mci.support, k, (1, 2))
         with pytest.raises(ValueError, match="< 1"):
-            ThresholdFunction(mci, k, dict(_children(mci, (), full_space(2))))
+            ThresholdFunction(mci, k)
 
 
 def test_threshold_agrees_with_sublevel_and_subset_oracles():
@@ -586,10 +586,10 @@ def level_cells(mci, k):
 @pytest.mark.parametrize("make", [generic_z3_mci, generic_z4_mci])
 def test_cells_are_tiled_level_by_level_from_a_walk_of_depth_one(make):
     mci = make()
-    regions = tci_from_mci(mci).functions[0]._regions
-    assert max(map(len, regions)) == 1
+    tci_from_mci(mci)
+    assert max(map(len, mci._regions)) == 1
     for k in (2, 3):
-        m = ThresholdFunction(mci, k, regions)
+        m = ThresholdFunction(mci, k)
         assert [(c.key(), l) for c, l in m.cells] == level_cells(mci, k)
 
 
@@ -655,11 +655,22 @@ def test_every_fold_is_the_corner_locus_of_the_cells(mci):
     # all codim of them are built, since a collapse cuts tci.functions short
     n = mci.ambient
     tci = tci_from_mci(mci)
-    regions = tci.functions[0]._regions
-    want = TCI(tci.fans[0], [PLFunction(n, ThresholdFunction(mci, k, regions).cells)
+    want = TCI(tci.fans[0], [PLFunction(n, ThresholdFunction(mci, k).cells)
                              for k in range(1, mci.codim + 1)])
     assert tci.collapsed_at == want.collapsed_at
     assert [keyed(fan) for fan in tci.fans] == [keyed(fan) for fan in want.fans]
+
+
+def test_a_hand_built_chain_of_threshold_functions_folds_like_tci_from_mci():
+    # the functions read the regions of length one off the MCI, so a chain
+    # built by hand cannot be handed wrong ones
+    mci = classical_mci([[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (0, 2)]])
+    by_hand = TCI(WeightedFan(2, [(full_space(2), 1)]),
+                  [ThresholdFunction(mci, 1), ThresholdFunction(mci, 2)])
+    built = tci_from_mci(mci)
+    assert by_hand.collapsed_at is built.collapsed_at is None
+    assert [keyed(fan) for fan in by_hand.fans] == [keyed(fan) for fan in built.fans]
+    assert bkk_number(by_hand) == bkk_number(built) == 2
 
 
 def record_parents(monkeypatch):
@@ -768,8 +779,7 @@ def swept_and_cut(mci, prefix, sigma):
 
 
 def two_ray_edge_cones(mci):
-    regions = dict(_children(mci, (), full_space(3)))
-    return [(sigma, prefix) for sigma, _, prefix in _edge_walls(mci, regions)
+    return [(sigma, prefix) for sigma, _, prefix in _edge_walls(mci)
             if not sigma.lineality and len(sigma.rays) == 2]
 
 
