@@ -391,17 +391,10 @@ def _as_line(obj) -> ProjectiveLine:
     return ProjectiveLine(p, q)
 
 
-_FULL_SPACE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
 def _span_meet(row_sets: Sequence) -> tuple:
-    """Basis of the intersection of rational subspaces of 4-space."""
-    annihilators = []
-    for rows in row_sets:
-        annihilators.extend(kernel_basis(list(rows), 4))
-    if not annihilators:
-        return _FULL_SPACE
-    return tuple(kernel_basis(annihilators, 4))
+    """Basis of the intersection of rational subspaces of 4-space (the
+    standard basis when no annihilator cuts it)."""
+    return tuple(kernel_basis([a for rows in row_sets for a in kernel_basis(list(rows), 4)], 4))
 
 
 def _span_sum(row_sets: Sequence) -> tuple:

@@ -18,7 +18,8 @@ rays and lineality; threshold regions, refinement pieces and overlaps are
 built that way from their parents, with no from-scratch conversion.
 Pairwise work on cell lists also lives here: :func:`overlaps` lists the
 pairs of cones that meet off the origin, and :func:`common_refinement`
-cuts tagged cones by cell lists.  So does the package's one triangulation,
+cuts tagged cones by cell lists, testing repeats over ℚ on the generators
+that a piece holds (:func:`_agree`).  So does the package's one triangulation,
 :func:`_pull_triangulate`, which pulls a pointed cone's smallest ray over
 its facets; it triangulates the fans of the Courant engine and the
 homogenization cones whose simplices give polytope volumes.
@@ -26,6 +27,7 @@ homogenization cones whose simplices give polytope volumes.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -44,6 +46,22 @@ from .linalg import (
 
 class NotAFan(ValueError):
     pass
+
+
+class NotContinuous(ValueError):
+    pass
+
+
+def _agree(f, g, gens) -> bool:
+    """Whether numbers are equal, covectors (tuples) equal on the generators
+    ``gens``, or polynomials (``ppfunc.Poly``) equal on their ℚ-span, read
+    by x = Σ y_i·g_i even for dependent g_i.  A string only names a cell."""
+    if isinstance(f, tuple):
+        return all(dot(f, v) == dot(g, v) for v in gens)
+    if isinstance(f, str):
+        return True
+    d = f - g
+    return d == 0 if isinstance(d, (int, Fraction)) else d.restrict(gens).is_zero()
 
 
 def _dedupe(vectors: Iterable[tuple]) -> list:
@@ -254,7 +272,8 @@ class Cone:
         return self._dim
 
     def span_rows(self) -> list:
-        """Saturated lattice basis of the linear span."""
+        """Saturated lattice basis of the linear span, by a Smith form: read
+        only where a lattice is read; a test over ℚ reads ``rays + lineality``."""
         if self._span is None:
             gens = list(self.rays) + list(self.lineality)
             self._span = saturation_basis(gens) if gens else []
@@ -404,13 +423,15 @@ def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
     pairs.  Every cut intersects each current piece with each cell in turn
     (:func:`_cut_cone` on the cell's constraints), keeps the intersections
     of dimension at least ``dim`` and drops repeats of a face key already
-    seen in that cut.  Returns (piece, tag, covectors) triples, one covector
-    per cell list, in the order the cuts produce them.
+    seen in that cut.  A repeat's covectors must agree with the kept ones on
+    the piece's span (:func:`_agree`; off it they may differ), or
+    NotContinuous is raised.  Returns (piece, tag, covectors) triples, one
+    covector per cell list, in the order the cuts produce them.
     The seed itself is neither cut nor deduplicated.
     """
     pieces = [(cone, tag, []) for cone, tag in seed]
     for cells in cell_lists:
-        nxt, seen = [], set()
+        nxt, seen = [], {}
         for cone, tag, ls in pieces:
             for cell, l in cells:
                 if not may_meet_full_dim(cone, cell):
@@ -418,11 +439,13 @@ def common_refinement(seed: Sequence, cell_lists: Sequence, dim: int) -> list:
                 piece = _cut_cone(cone, *cell._constraints(), dim)
                 if piece is None:
                     continue
-                k = piece.key()
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append((piece, tag, ls + [l]))
+                ls_piece, kept = ls + [l], seen.get(piece.key())
+                if kept is None:
+                    seen[piece.key()] = ls_piece
+                    nxt.append((piece, tag, ls_piece))
+                elif not all(_agree(f, g, piece.rays + piece.lineality)
+                             for f, g in zip(ls_piece, kept)):
+                    raise NotContinuous("cells disagree on a piece they share")
         pieces = nxt
     return pieces
 

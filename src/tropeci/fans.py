@@ -13,10 +13,10 @@ written in lattice coordinates of a span.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Cone, NotAFan, _cut_cone, _span_chambers, dual_description, overlaps
+from .cones import Cone, NotAFan, NotContinuous, _agree, _cut_cone, _span_chambers, \
+    dual_description, overlaps
 from .linalg import (
     canonical_span_rows,
     dot,
@@ -34,10 +34,6 @@ from .linalg import (
 
 
 class NotBalanced(ValueError):
-    pass
-
-
-class NotContinuous(ValueError):
     pass
 
 
@@ -126,9 +122,8 @@ def wall_lift(rho: Cone, tau: Cone):
     if rho.dim != tau.dim - 1 or not all(tau.contains(g) for g in gens):
         raise ValueError("wall is not a facet of the cone")
     p = rho.relint_point()
-    basis = tau.span_rows()
     for a in tau._constraints()[0]:
-        if dot(a, p) == 0 and any(dot(a, b) for b in basis):
+        if dot(a, p) == 0 and any(dot(a, b) for b in tau.rays + tau.lineality):
             return _lift(tau, a)
     raise ValueError("wall is not a facet of the cone")
 
@@ -172,11 +167,6 @@ def is_balanced(fan: WeightedFan) -> bool:
     return True
 
 
-def _vanishes(x, span) -> bool:
-    """Whether a number is 0, or a ``Poly`` is zero on the span's rows."""
-    return x == 0 if isinstance(x, (int, Fraction)) else x.restrict(span).is_zero()
-
-
 def _wall_step(pieces: Sequence, ambient: int, term) -> list:
     """(wall, weight, ...) over the walls of weighted pieces: one corner-locus step.
 
@@ -189,9 +179,10 @@ def _wall_step(pieces: Sequence, ambient: int, term) -> list:
     that cuts ρ from τ_j, and is dropped when that vanishes on span ρ.  Every
     wall is tested first.  A Σ_j w_j·ũ_j outside span ρ raises NotBalanced,
     because the cycle is unbalanced at ρ or a piece is subdivided differently
-    from its neighbour.  A ``term(τ_j, τ_0, b)`` not zero on span ρ for a row
-    b of span ρ raises NotContinuous: the pieces disagree on ρ.  A piece that
-    the refinement dropped reaches no wall, nor does a disagreement on it.
+    from its neighbour.  A ``term(τ_j, τ_0, b)`` not zero on span ρ for a
+    generator b of ρ raises NotContinuous: the pieces disagree on ρ.  These
+    tests are over ℚ on ρ's own generators (:func:`cones._agree`), with no
+    Smith form; only the lifts read a lattice.
     """
     groups = {}
     for piece in pieces:
@@ -199,20 +190,20 @@ def _wall_step(pieces: Sequence, ambient: int, term) -> list:
             groups.setdefault(f.key(), (f, []))[1].append((piece, _lift(piece[0], a)))
     out = []
     for wall, incident in groups.values():
-        span = wall.span_rows()
+        gens = wall.rays + wall.lineality
         total = (0,) * ambient
         for piece, u in incident:
             total = vadd(total, vscale(piece[1], u))
-        if not all(_vanishes(dot(psi, total), span)
-                   for psi in kernel_basis(span, ambient)):
+        if not all(_agree(dot(psi, total), 0, gens)
+                   for psi in kernel_basis(gens, ambient)):
             raise NotBalanced("weighted lifts leave the span of a wall: the cycle "
                               "is unbalanced or its pieces do not meet face to face")
         first = incident[0][0]
-        if not all(_vanishes(term(piece, first, b), span)
-                   for piece, _ in incident[1:] for b in span):
+        if not all(_agree(term(piece, first, b), 0, gens)
+                   for piece, _ in incident[1:] for b in gens):
             raise NotContinuous("pieces disagree on a shared wall")
         weight = sum(term(piece, first, u) for piece, u in incident)
-        if not _vanishes(weight, span):
+        if not _agree(weight, 0, gens):
             out.append((wall, weight) + first[3:])
     return out
 

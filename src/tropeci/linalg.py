@@ -10,10 +10,12 @@ Gauss–Jordan elimination (Bareiss's integer-preserving scheme).  :func:`rank`,
 :func:`det`, :func:`solve` (and so :func:`coordinates_in_basis`),
 :func:`in_span`, :func:`inverse_rows`, :func:`kernel_basis` and
 :func:`canonical_span_rows` all read their answers off its reduced rows, and
-build a ``Fraction`` at most once per output entry.  For lattices,
+build a ``Fraction`` at most once per output entry; none of them saturates
+(a :func:`kernel_basis` is a ℚ-basis).  For lattices,
 :func:`smith_with_basis` diagonalizes an integer matrix by unimodular
 operations while tracking the inverse column transform; that single routine
-yields saturations and sublattice indices.
+yields saturations and sublattice indices, and it runs only where a lattice
+is read.
 :func:`int_vector` reads outside coordinates as integers, exactly.
 
 The per-entry vector kernels run every entry through C-level builtins, with
@@ -414,12 +416,12 @@ def sublattice_index(rows: Mat) -> int:
 
 
 def kernel_basis(rows: Mat, ncols: int) -> list:
-    """Saturated ℤ-basis of {x ∈ ℤ^ncols : rows · x = 0}.
+    """Primitive ℚ-basis of {x : rows · x = 0}, one vector per free column.
 
     Each free column f of the reduced echelon form gives the kernel vector
     with x_f = d, the pivot variables read off their rows and the other free
-    variables 0, made primitive with x_f > 0.  Raises ValueError unless every
-    row has length ncols.
+    variables 0, made primitive with x_f > 0; not saturated, they need not
+    be a ℤ-basis.  Raises ValueError unless every row has length ncols.
     """
     m, pivots, d = _reduce(rows, ncols)
     vecs = []
@@ -431,7 +433,7 @@ def kernel_basis(rows: Mat, ncols: int) -> list:
         for c, row in zip(pivots, m):
             v[c] = -row[f]
         vecs.append(primitive(v if d > 0 else vneg(v)))
-    return saturation_basis(vecs) if vecs else []
+    return vecs
 
 
 def canonical_span_rows(rows: Mat) -> tuple:

@@ -14,13 +14,15 @@ from typing import Iterable, Sequence
 
 from .cones import (
     Cone,
+    NotContinuous,
+    _agree,
     _standard_basis,
     chamber_complex,
     common_refinement,
     full_space,
     overlaps,
 )
-from .fans import NotBalanced, NotContinuous, WeightedFan, _wall_step
+from .fans import NotBalanced, WeightedFan, _wall_step
 from .linalg import (
     dot,
     sign_normalized,
@@ -76,20 +78,17 @@ class PLFunction:
                           [(cone, vscale(c, l)) for cone, l in self.cells])
 
     def check_continuity(self) -> bool:
-        return _agree_on_overlaps(
-            self.cells, lambda l, m, span: all(dot(vsub(l, m), b) == 0 for b in span))
+        return _agree_on_overlaps(self.cells)
 
     def __repr__(self):
         return f"PLFunction(ambient={self.ambient}, ncells={len(self.cells)})"
 
 
-def _agree_on_overlaps(cells: Sequence, agree) -> bool:
-    """Whether ``agree(f, g, span)`` holds wherever two cells meet off the origin.
-
-    ``cells`` are (cone, function) pairs; f and g are the functions of two
-    overlapping cells and ``span`` the span rows of their overlap.
-    """
-    return all(agree(cells[i][1], cells[j][1], inter.span_rows())
+def _agree_on_overlaps(cells: Sequence) -> bool:
+    """Whether the functions of any two (cone, function) cells that meet off
+    the origin agree on the span of their overlap (:func:`cones._agree` on
+    the overlap's generators)."""
+    return all(_agree(cells[i][1], cells[j][1], inter.rays + inter.lineality)
                for i, j, inter in overlaps([c for c, _ in cells]))
 
 
@@ -156,10 +155,12 @@ def corner_locus(m: PLFunction, t_fan: WeightedFan) -> WeightedFan:
     cycle is unbalanced there or a piece is subdivided differently from its
     neighbour, and one where the ℓ_j disagree on span ρ raises NotContinuous.
     Cell structures cut from a common arrangement always meet face to face.
-    The wall test is blind where two cells of m overlap on a cone of a cycle
-    of dimension two or more: the refinement keeps the first cell's covector
-    only, so a disagreement there changes the weights without reaching any
-    wall.  ``PLFunction.check_continuity`` sees that case.
+    Where two cells of m overlap on a whole refined piece, the refinement
+    keeps one piece and raises NotContinuous if the other cell's covector
+    differs from it on the piece's span, so the answer cannot depend on the
+    order of the cells.  Cells that overlap on part of a piece leave pieces
+    that do not meet face to face, which the wall test may miss;
+    ``PLFunction.check_continuity`` tests every overlap.
 
     On a curve the only wall is the origin, and balancing cancels ℓ_ρ, so
     the step reads m by its values and refines nothing

@@ -121,28 +121,16 @@ class LatticePolytope:
             all(dot(e, x) + c == 0 for e, c in self.affine_eqs())
 
     def faces(self) -> list:
-        """All nonempty faces as sorted tuples of vertices (P itself included)."""
-        if self._faces is not None:
-            return self._faces
-        vsets = {tuple(self.vertices)}
-        facet_sets = []
-        for a, b in self.facets():
-            s = tuple(v for v in self.vertices if dot(a, v) + b == 0)
-            facet_sets.append(frozenset(s))
-            vsets.add(s)
-        # faces are intersections of facet vertex sets; iterate to closure
-        frontier = {frozenset(s) for s in vsets}
-        closed = set(frontier)
-        while frontier:
-            nxt = set()
-            for s in frontier:
-                for f in facet_sets:
-                    t = s & f
-                    if t and t not in closed:
-                        closed.add(t)
-                        nxt.add(t)
-            frontier = nxt
-        self._faces = sorted(tuple(sorted(s)) for s in closed)
+        """All nonempty faces as sorted tuples of vertices (P itself included):
+        the faces of the homogenization cone, read facet by facet through
+        ``Cone._facets`` down to the rays, whose only facet is the apex."""
+        if self._faces is None:
+            found, todo = {}, [self._cone]
+            while todo:
+                c = todo.pop()
+                if found.setdefault(c.key(), c) is c and len(c.rays) > 1:
+                    todo += [f for f, _ in c._facets()]
+            self._faces = sorted(tuple(r[:-1] for r in c.rays) for c in found.values())
         return self._faces
 
     def normal_fan(self) -> list:

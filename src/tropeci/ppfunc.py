@@ -25,8 +25,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .cones import Cone, _pull_triangulate, _standard_basis, chamber_complex, common_refinement
-from .fans import NotContinuous, WeightedFan, _wall_step
+from .cones import Cone, NotContinuous, _pull_triangulate, _standard_basis, chamber_complex, \
+    common_refinement
+from .fans import WeightedFan, _wall_step
 from .linalg import dot, inverse_rows, sublattice_index
 from .plfunc import PLFunction, _agree_on_overlaps, _hyperplanes
 
@@ -185,8 +186,7 @@ class PPFunction:
         raise ValueError(f"point {x} outside the domain")
 
     def check_continuity(self) -> bool:
-        return _agree_on_overlaps(
-            self.cells, lambda p, q, span: (p - q).restrict(span).is_zero())
+        return _agree_on_overlaps(self.cells)
 
     def __repr__(self):
         return (f"PPFunction(ambient={self.ambient}, degree={self.degree}, "
@@ -214,12 +214,10 @@ def pp_corner_locus(f: PPFunction, t_fan: WeightedFan) -> WeightedFan:
     Both inputs are always tested.  A wall whose weighted lifts Σ_j w_j·ũ_j
     leave its span (an unbalanced fan, or refined pieces that do not meet
     face to face) raises NotBalanced; pieces that disagree on a wall raise
-    NotContinuous.  The wall test is blind where two cells of F overlap
-    on a cone of T: the refinement keeps the first cell's piece only, so a
-    disagreement there changes the weights without reaching any wall (the
-    tropical line against x ≥ 0 ↦ y, x ≤ 0 ↦ 2y gives −1 or 0 at the origin
-    by cell order).  So the pieces of F are also tested pairwise on every
-    overlap first, and a disagreement raises NotContinuous.
+    NotContinuous.  No wall sees cells of F that overlap on a cone of T:
+    the refinement raises NotContinuous where they disagree on a whole
+    piece, but not on part of one.  So the pieces of F are tested pairwise
+    on every overlap first, and a disagreement raises NotContinuous.
     """
     n = f.ambient
     if n != t_fan.ambient:

@@ -5,9 +5,11 @@ from cone_reference import extreme_rays, intersect
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropeci import cones
+from tropeci import cones, fans, ppfunc
 from tropeci.cones import (
     Cone,
+    NotContinuous,
+    _agree,
     _cut_cone,
     _sides,
     _span_chambers,
@@ -18,6 +20,7 @@ from tropeci.cones import (
     overlaps,
 )
 from tropeci.linalg import canonical_span_rows, dot, kernel_basis, rank, vadd, vneg, vscale
+from tropeci.ppfunc import Poly
 
 
 def test_orthant_two_ways():
@@ -432,3 +435,14 @@ def test_span_chambers_skip_a_normal_that_vanishes_on_the_span():
     cells = _span_chambers([(0, 0, 1), (1, 0, 0), (1, 1, 1)], plane, kernel, 3)
     assert len(cells) == 4 and len({c.key() for c in cells}) == 4
     assert all(c.dim == 2 and c._constraints()[1] == kernel for c in cells)
+
+
+def test_agreement_is_read_over_the_span_of_dependent_generators():
+    gens = [(1, 1, 0), (0, 0, 1), (1, 1, 1)]  # they span the plane x = y
+    assert _agree((1, 0, 5), (0, 1, 5), gens)
+    assert not _agree((1, 0, 0), (0, 0, 0), gens)
+    xz, yz = Poly(3, {(1, 0, 1): 1}), Poly(3, {(0, 1, 1): 1})
+    assert _agree(xz, yz, gens) and _agree(xz - yz, 0, gens)
+    assert not _agree(xz, 0, gens) and _agree(xz, 0, [(0, 1, 0)])
+    assert _agree(Fraction(4, 2), 2, gens) and not _agree(2, 1, [])
+    assert NotContinuous is fans.NotContinuous is ppfunc.NotContinuous

@@ -10,7 +10,8 @@ reads of a ``Cone``'s private slots outside ``cones``, which recover
 what a ``Cone`` method should hand over, imports tucked into function
 bodies, which hide a module's dependencies from its header, and imports of
 ``random`` outside ``oracles``, which would let a computed number depend on
-a draw.
+a draw, and Smith forms outside the functions that read a lattice, where a
+test over ℚ on a cone's own generators would do.
 """
 
 import ast
@@ -401,3 +402,67 @@ def test_the_kernel_check_sees_a_copied_kernel():
                          ids=lambda p: p.name)
 def test_only_linalg_implements_the_vector_kernels(path):
     assert _kernel_reimplementations(path.read_text()) == []
+
+
+# The Smith-form routines of ``linalg`` and the saturated span bases that
+# run one.  A test that only asks whether something vanishes on a span reads
+# the cone's own generators over ℚ instead (``cones._agree``).
+LATTICE_READS = {"smith_with_basis", "saturation_basis", "sublattice_index", "span_rows"}
+
+# (module, function) that may use them, each with the lattice it reads
+LATTICE_READERS = {
+    ("cones.py", "Cone.span_rows"): "the saturated basis of a cone's span",
+    ("polytopes.py", "LatticePolytope.span_rows"):
+        "the saturated basis of a polytope's direction space",
+    ("polytopes.py", "LatticePolytope.relative_normalized_volume"):
+        "a lattice simplex's volume is the index of its rays' lattice",
+    ("fans.py", "_lift"): "a wall lift is an integer vector of span τ with φ·x = 1",
+    ("fans.py", "_image_lattice_check"): "a map is onto ℤ^m when its Smith form is 1s",
+    ("fans.py", "pushforward"): "an image cone weighs the index of its span's image lattice",
+    ("fans.py", "stable_intersection_number"): "a pair weighs [ℤⁿ : L_σ + L_τ]",
+    ("plfunc.py", "_curve_corner_weight"): "a line is weighed at its lattice generator",
+    ("ppfunc.py", "_FanEngine._multiplicity"): "a simplex's multiplicity is its lattice index",
+    ("linalg.py", "saturation_basis"): "the linalg routine of that name",
+    ("linalg.py", "sublattice_index"): "the linalg routine of that name",
+}
+
+
+def _lattice_reads(source: str) -> list:
+    """(function, name) per use of a name in ``LATTICE_READS``, called or
+    passed, with the dotted path of the enclosing function ("" at the top)."""
+    out = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            name = child.id if isinstance(child, ast.Name) else \
+                child.attr if isinstance(child, ast.Attribute) else None
+            if name in LATTICE_READS:
+                out.append((".".join(path), name))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return sorted(out)
+
+
+def test_the_lattice_check_sees_a_smith_form_outside_a_reader():
+    source = ("from .linalg import smith_with_basis\n\n"
+              "def f(c):\n    return c.span_rows()\n\n"
+              "class K:\n    def g(self, r):\n        return sum(map(sublattice_index, r))\n\n"
+              "x = saturation_basis\n")
+    assert _lattice_reads(source) == [
+        ("", "saturation_basis"), ("K.g", "sublattice_index"), ("f", "span_rows")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_lattice_readers_take_smith_forms(path):
+    assert [(f, name) for f, name in _lattice_reads(path.read_text())
+            if (path.name, f) not in LATTICE_READERS] == []
+
+
+def test_every_lattice_reader_still_reads_a_lattice():
+    used = {(path.name, f) for path in PACKAGE.glob("*.py")
+            for f, _ in _lattice_reads(path.read_text())}
+    assert sorted(set(LATTICE_READERS) - used) == []

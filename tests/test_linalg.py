@@ -354,9 +354,13 @@ def test_kernel_basis():
     assert len(k) == 2
     for v in k:
         assert dot((1, 1, 1), v) == 0
-    # saturated: (1,-1,0) and friends expressible over ℤ
+    # a ℚ-basis of the kernel: (1,-1,0) lies in its span
     assert in_span(k, (1, -1, 0))
     assert kernel_basis([(1, 0), (0, 1)], 2) == []
+    # not saturated: (0, -1, 1) is in the kernel of (2, 1, 1) but is no
+    # integer combination of the vectors read off the pivot 2
+    k = kernel_basis([(2, 1, 1)], 3)
+    assert k == [(-1, 2, 0), (-1, 0, 2)] and sublattice_index(k) == 2
 
 
 def test_solve_dot_one():
@@ -450,7 +454,7 @@ def ref_kernel_basis(rows, ncols):
             if pr[f]:
                 v[pc] = -pr[f] * (den // pr[pc])
         vecs.append(primitive(tuple(v)))
-    return saturation_basis(vecs) if vecs else []
+    return vecs
 
 
 @st.composite
@@ -494,3 +498,16 @@ def test_span_functions_match_the_primitive_row_reduction(inp):
     assert canonical_span_rows(rows) == tuple(tuple(r) for _, r in red)
     assert in_span(rows, probe) == ref_in_span(rows, probe)
     assert kernel_basis(rows, ncols) == ref_kernel_basis(rows, ncols)
+
+
+@settings(max_examples=80)
+@given(span_inputs())
+@example(([(2, 4)], (0, 0), 2))
+@example(([(1, 1, 1), (1, -1, 3)], (0, 0, 0), 3))
+def test_kernel_rows_are_a_primitive_rational_basis_of_the_kernel(inp):
+    rows, _, ncols = inp
+    k = kernel_basis(rows, ncols)
+    assert len(k) == ncols - rank(rows)
+    assert all(vgcd(v) == 1 for v in k)
+    assert rank(k) == len(k)
+    assert all(dot(r, v) == 0 for r in rows for v in k)

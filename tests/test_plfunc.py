@@ -235,6 +235,28 @@ def test_corner_locus_raises_on_pieces_that_disagree_at_a_wall():
         corner_locus(m, AMBIENT2)
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["x_first", "2x_first"])
+def test_cells_that_overlap_on_a_piece_and_disagree_raise_in_either_order(reverse):
+    # x and 2x on the same half-plane x ≥ 0: a refinement that kept the first
+    # cell's covector weighed the line x = 0 with 1 or 2 by cell order
+    right = [(Cone(2, ineqs=[(1, 0)]), (1, 0)), (Cone(2, ineqs=[(1, 0)]), (2, 0))]
+    left = [(Cone(2, ineqs=[(-1, 0)]), (0, 0))]
+    m = PLFunction(2, (right[::-1] if reverse else right) + left)
+    with pytest.raises(NotContinuous):
+        corner_locus(m, AMBIENT2)
+
+
+def test_a_plane_inside_the_wall_between_two_cells_folds_in_either_order():
+    # m = |x| + max(y, 0) on ℝ³: the plane x = 0 lies in both cells of each
+    # sign of y, whose covectors differ off the plane but agree on it
+    plane = WeightedFan(3, [(Cone(3, rays=[], lineality=[(0, 1, 0), (0, 0, 1)]), 1)])
+    cells = [(Cone(3, ineqs=[(sx, 0, 0), (0, sy, 0)]), (sx, int(sy > 0), 0))
+             for sx in (1, -1) for sy in (1, -1)]
+    z_axis = WeightedFan(3, [(Cone(3, rays=[], lineality=[(0, 0, 1)]), 1)])
+    for order in (cells, cells[::-1]):
+        assert fans_equal(corner_locus(PLFunction(3, order), plane), z_axis)
+
+
 def test_a_function_must_live_in_the_ambient_space_of_its_cells_and_cycle():
     with pytest.raises(ValueError):
         PLFunction(2, [(full_space(2), (1, 0, 7))])
